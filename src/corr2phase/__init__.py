@@ -6,7 +6,7 @@ phase observing (x, z) and a nested second phase also observing y, with
 the population mean and variance of z known in advance. It provides
 the estimator family, their first-order variance theory and optimal
 adjustment weights, exact enumeration over all samples, and a
-deterministic Monte Carlo driver with numba-accelerated kernels.
+deterministic Monte Carlo driver with vectorized numpy kernels.
 """
 
 from .errors import (

@@ -1,51 +1,35 @@
-"""Hot numeric kernels, compiled with numba when available.
-
-Two interchangeable backends implement the same contract:
-
-* "numba": per-replication loops under @njit(cache=True, nogil=True);
-* "numpy": vectorized array code, used as a fallback and as an
-  independent implementation for cross-checking.
-
-Backend choice: the CORR2PHASE_BACKEND environment variable ("numba",
-"numpy", or "auto", default "auto") picks the process default; every
-public wrapper also takes an explicit backend argument.
+"""Hot numeric kernels: vectorized numpy over many replications at once.
 
 Sample draws use a counter-based splitmix64 generator, so replication t
-of a run is a pure function of (seed, t). Both backends perform the
-same uint64 arithmetic and therefore return bit-identical index arrays.
-Floating-point statistics may differ between backends at rounding level
-(sequential vs pairwise summation); within one backend they are exactly
-reproducible.
+of a run is a pure function of (seed, t). Floating-point statistics are
+exactly reproducible for the same index arrays.
+
+The optimum-weight closed form lives here too (optimum_weights), in
+plain arithmetic, so that the per-sample kernel and the scalar
+population path in analytics run the same code.
 """
 
 from __future__ import annotations
 
-import math
-import os
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
 from .errors import InvalidParameter
 
+# Kernel facts recorded by the benchmark (perfbench/worker.py). There is
+# a single numpy implementation, so these are constants.
+HAVE_NUMBA = False
 ENV_VAR = "CORR2PHASE_BACKEND"
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def resolve_backend(backend: None = None) -> str:
+    """Name of the kernel implementation: always "numpy"."""
+    return "numpy"
 
 
-# Output row layout shared by both stats kernels.
+# Output row layout of stats_rows.
 COL_R, COL_U, COL_V, COL_W, COL_A = 0, 1, 2, 3, 4
 COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA = 5, 6, 7, 8
 NCOLS = 9
@@ -60,6 +44,24 @@ FLAG_SINGULAR = 4  # plug-in optimum constants could not be formed
 SINGULAR_RTOL = 1e-9
 ZERO_R_TOL = 1e-9
 
+# Standardized moments d_pqm that the optimum weights read.
+WEIGHT_TRIPLES = (
+    (2, 1, 0),
+    (0, 3, 0),
+    (1, 2, 0),
+    (2, 2, 0),
+    (0, 4, 0),
+    (1, 3, 0),
+    (2, 0, 1),
+    (0, 2, 1),
+    (1, 1, 1),
+    (2, 0, 2),
+    (0, 2, 2),
+    (1, 1, 2),
+    (0, 0, 3),
+    (0, 0, 4),
+)
+
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -70,272 +72,86 @@ _S31 = np.uint64(31)
 _MASK64 = (1 << 64) - 1
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+def mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array."""
+    z = np.asarray(z, dtype=np.uint64)
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Map a requested backend (or None) to a concrete one."""
-    if backend is None:
-        backend = os.environ.get(ENV_VAR, "auto")
-    name = backend.strip().lower()
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise InvalidParameter("numba backend requested but numba is not importable")
-        return "numba"
-    raise InvalidParameter(
-        f"unknown backend {backend!r}; expected 'numba', 'numpy', or 'auto'"
+def spread(kurt, skew):
+    """Excess spread kurt - skew^2 - 1 of one axis, and whether it is singular.
+
+    The spread is the determinant scale of that axis's 2x2 weight
+    system; it is positive for every nondegenerate distribution and zero
+    exactly for a two-point one. Takes floats or arrays.
+    """
+    span = kurt - skew * skew - 1.0
+    return span, span <= SINGULAR_RTOL * (abs(kurt) + skew * skew + 1.0)
+
+
+def optimum_weights(d, c_x, c_z, r, span_x, span_z):
+    """Variance slopes and the optimum adjustment weights, in closed form.
+
+    d(p, q, m) returns the standardized central moment d_pqm; c_x, c_z
+    are the coefficients of variation and r the correlation, all on the
+    same footing: exact population values or one sample's estimates.
+    span_x and span_z come from spread(). The arithmetic is plain, so
+    floats and arrays (one entry per sample) both work; guarding r, c_x,
+    c_z and the spans against zero is the caller's job.
+
+    Returns (slopes, weights), each ordered (mean_x, var_x, mean_z, var_z).
+    """
+    skew_x, kurt_x = d(0, 3, 0), d(0, 4, 0)
+    skew_z, kurt_z = d(0, 0, 3), d(0, 0, 4)
+    slope_mean_x = (2.0 * d(1, 2, 0) / r - d(2, 1, 0) - skew_x) * c_x
+    slope_var_x = 2.0 * d(1, 3, 0) / r - d(2, 2, 0) - kurt_x
+    slope_mean_z = (2.0 * d(1, 1, 1) / r - d(2, 0, 1) - d(0, 2, 1)) * c_z
+    slope_var_z = 2.0 * d(1, 1, 2) / r - d(2, 0, 2) - d(0, 2, 2)
+    weights = (
+        (slope_var_x * c_x * skew_x - slope_mean_x * (kurt_x - 1.0))
+        / (2.0 * c_x * c_x * span_x),
+        (slope_mean_x * skew_x - slope_var_x * c_x) / (2.0 * c_x * span_x),
+        (slope_var_z * c_z * skew_z - slope_mean_z * (kurt_z - 1.0))
+        / (2.0 * c_z * c_z * span_z),
+        (slope_mean_z * skew_z - slope_var_z * c_z) / (2.0 * c_z * span_z),
     )
+    return (slope_mean_x, slope_var_x, slope_mean_z, slope_var_z), weights
 
 
-def mix64(values: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array. Exposed for tests."""
-    z = np.asarray(values, dtype=np.uint64).copy()
-    z ^= z >> _S30
-    z *= _MIX1
-    z ^= z >> _S27
-    z *= _MIX2
-    z ^= z >> _S31
-    return z
+def draw_rows(
+    N: int,
+    n1: int,
+    n: int,
+    reps: int,
+    seed: int,
+    rep_lo: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `reps` two-phase index samples, replications rep_lo onward.
 
-
-# ----------------------------------------------------------------------
-# numba backend
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _mix_nb(z):
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
-
-
-@njit(cache=True, nogil=True)
-def _draw_rows_nb(N, n1, n, seed, rep_lo, first, second):
-    M = first.shape[0]
-    for t in range(M):
-        stream = _mix_nb(seed + _GOLDEN * np.uint64(rep_lo + t + 1))
-        pool = np.empty(N, np.int64)
-        for i in range(N):
-            pool[i] = i
-        for j in range(n1):
-            rnd = _mix_nb(stream + _GOLDEN * np.uint64(j + 1))
-            k = j + np.int64(rnd % np.uint64(N - j))
-            tmp = pool[j]
-            pool[j] = pool[k]
-            pool[k] = tmp
-        sub = pool[:n1].copy()
-        for j in range(n):
-            rnd = _mix_nb(stream + _GOLDEN * np.uint64(n1 + j + 1))
-            k = j + np.int64(rnd % np.uint64(n1 - j))
-            tmp = sub[j]
-            sub[j] = sub[k]
-            sub[k] = tmp
-        head = pool[:n1].copy()
-        head.sort()
-        tail = sub[:n].copy()
-        tail.sort()
-        for j in range(n1):
-            first[t, j] = head[j]
-        for j in range(n):
-            second[t, j] = tail[j]
-
-
-@njit(cache=True, nogil=True, error_model="numpy")
-def _stats_rows_nb(y, x, z, first, second, aux_zbar, aux_sz2, out, flags):
-    M, n1 = first.shape
-    n = second.shape[1]
-    for t in range(M):
-        flags[t] = 0
-        for c in range(NCOLS):
-            out[t, c] = np.nan
-
-        sx1 = 0.0
-        sz1 = 0.0
-        for j in range(n1):
-            i = first[t, j]
-            sx1 += x[i]
-            sz1 += z[i]
-        xbar1 = sx1 / n1
-        zbar1 = sz1 / n1
-        vx1 = 0.0
-        vz1 = 0.0
-        for j in range(n1):
-            i = first[t, j]
-            dx = x[i] - xbar1
-            dz = z[i] - zbar1
-            vx1 += dx * dx
-            vz1 += dz * dz
-
-        sy = 0.0
-        sx = 0.0
-        sz = 0.0
-        for j in range(n):
-            i = second[t, j]
-            sy += y[i]
-            sx += x[i]
-            sz += z[i]
-        ybar = sy / n
-        xbar = sx / n
-        zbar = sz / n
-
-        m200 = 0.0
-        m020 = 0.0
-        m002 = 0.0
-        m110 = 0.0
-        m210 = 0.0
-        m030 = 0.0
-        m120 = 0.0
-        m220 = 0.0
-        m040 = 0.0
-        m130 = 0.0
-        m201 = 0.0
-        m021 = 0.0
-        m111 = 0.0
-        m202 = 0.0
-        m022 = 0.0
-        m112 = 0.0
-        m003 = 0.0
-        m004 = 0.0
-        for j in range(n):
-            i = second[t, j]
-            dy = y[i] - ybar
-            dx = x[i] - xbar
-            dz = z[i] - zbar
-            dy2 = dy * dy
-            dx2 = dx * dx
-            dz2 = dz * dz
-            m200 += dy2
-            m020 += dx2
-            m002 += dz2
-            m110 += dy * dx
-            m210 += dy2 * dx
-            m030 += dx2 * dx
-            m120 += dy * dx2
-            m220 += dy2 * dx2
-            m040 += dx2 * dx2
-            m130 += dy * dx2 * dx
-            m201 += dy2 * dz
-            m021 += dx2 * dz
-            m111 += dy * dx * dz
-            m202 += dy2 * dz2
-            m022 += dx2 * dz2
-            m112 += dy * dx * dz2
-            m003 += dz2 * dz
-            m004 += dz2 * dz2
-
-        if m200 <= 0.0 or m020 <= 0.0 or m002 <= 0.0 or vx1 <= 0.0 or vz1 <= 0.0:
-            flags[t] = FLAG_DEGENERATE
-            continue
-
-        sy2 = m200 / (n - 1.0)
-        sx2 = m020 / (n - 1.0)
-        sz2 = m002 / (n - 1.0)
-        syx = m110 / (n - 1.0)
-        sx2_1 = vx1 / (n1 - 1.0)
-        sz2_1 = vz1 / (n1 - 1.0)
-
-        r = syx / np.sqrt(sy2 * sx2)
-        u = xbar / xbar1
-        v = sx2 / sx2_1
-        w = zbar1 / aux_zbar
-        a = sz2_1 / aux_sz2
-        if not (
-            np.isfinite(r)
-            and np.isfinite(u)
-            and np.isfinite(v)
-            and np.isfinite(w)
-            and np.isfinite(a)
-        ):
-            flags[t] = FLAG_NONFINITE
-            continue
-        out[t, COL_R] = r
-        out[t, COL_U] = u
-        out[t, COL_V] = v
-        out[t, COL_W] = w
-        out[t, COL_A] = a
-
-        if xbar == 0.0 or zbar == 0.0 or abs(r) < ZERO_R_TOL:
-            flags[t] = FLAG_SINGULAR
-            continue
-
-        vy = m200 / n
-        vx = m020 / n
-        vz = m002 / n
-        sdy = np.sqrt(vy)
-        sdx = np.sqrt(vx)
-        sdz = np.sqrt(vz)
-        d210 = (m210 / n) / (vy * sdx)
-        d030 = (m030 / n) / (vx * sdx)
-        d120 = (m120 / n) / (sdy * vx)
-        d220 = (m220 / n) / (vy * vx)
-        d040 = (m040 / n) / (vx * vx)
-        d130 = (m130 / n) / (sdy * vx * sdx)
-        d201 = (m201 / n) / (vy * sdz)
-        d021 = (m021 / n) / (vx * sdz)
-        d111 = (m111 / n) / (sdy * sdx * sdz)
-        d202 = (m202 / n) / (vy * vz)
-        d022 = (m022 / n) / (vx * vz)
-        d112 = (m112 / n) / (sdy * sdx * vz)
-        d003 = (m003 / n) / (vz * sdz)
-        d004 = (m004 / n) / (vz * vz)
-
-        chx = np.sqrt(sx2) / xbar
-        chz = np.sqrt(sz2) / zbar
-        ah = (2.0 * d120 / r - d210 - d030) * chx
-        bh = 2.0 * d130 / r - d220 - d040
-        dh = (2.0 * d111 / r - d201 - d021) * chz
-        fh = 2.0 * d112 / r - d202 - d022
-        ex = d040 - d030 * d030 - 1.0
-        ez = d004 - d003 * d003 - 1.0
-        scale_x = abs(d040) + d030 * d030 + 1.0
-        scale_z = abs(d004) + d003 * d003 + 1.0
-        if ex <= SINGULAR_RTOL * scale_x or ez <= SINGULAR_RTOL * scale_z:
-            flags[t] = FLAG_SINGULAR
-            continue
-        alpha = (bh * chx * d030 - ah * (d040 - 1.0)) / (2.0 * chx * chx * ex)
-        beta = (ah * d030 - bh * chx) / (2.0 * chx * ex)
-        gamma = (fh * chz * d003 - dh * (d004 - 1.0)) / (2.0 * chz * chz * ez)
-        delta = (dh * d003 - fh * chz) / (2.0 * chz * ez)
-        if not (
-            np.isfinite(alpha)
-            and np.isfinite(beta)
-            and np.isfinite(gamma)
-            and np.isfinite(delta)
-        ):
-            flags[t] = FLAG_SINGULAR
-            continue
-        out[t, COL_ALPHA] = alpha
-        out[t, COL_BETA] = beta
-        out[t, COL_GAMMA] = gamma
-        out[t, COL_DELTA] = delta
-
-
-# ----------------------------------------------------------------------
-# numpy backend
-
-
-def _mix_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
-
-
-def _draw_rows_np(N, n1, n, seed, rep_lo, first, second):
-    M = first.shape[0]
-    ticks = np.arange(rep_lo + 1, rep_lo + M + 1, dtype=np.uint64)
-    stream = _mix_np(seed + _GOLDEN * ticks)
-    pool = np.broadcast_to(np.arange(N, dtype=np.int64), (M, N)).copy()
-    rows = np.arange(M)
+    Returns (first, second): sorted int64 index arrays of shape
+    (reps, n1) and (reps, n), second[t] a subset of first[t].
+    Replication t depends only on (seed, rep_lo + t), never on reps or
+    chunking, which is what makes parallel simulation order-free. The
+    seed must lie in [0, 2**64).
+    """
+    if not (2 <= n <= n1 <= N):
+        raise InvalidParameter("need 2 <= n <= n1 <= N")
+    if reps < 0 or rep_lo < 0:
+        raise InvalidParameter("reps and rep_lo must be nonnegative")
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise InvalidParameter(f"seed must lie in [0, 2**64), got {seed}")
+    ticks = np.arange(rep_lo + 1, rep_lo + reps + 1, dtype=np.uint64)
+    stream = mix64(np.uint64(seed) + _GOLDEN * ticks)
+    pool = np.broadcast_to(np.arange(N, dtype=np.int64), (reps, N)).copy()
+    rows = np.arange(reps)
     for j in range(n1):
         # scalar increments in masked python-int math: scalar uint64
         # products would warn on wraparound, array ops never do
         inc = np.uint64((_GOLDEN_INT * (j + 1)) & _MASK64)
-        rnd = _mix_np(stream + inc)
+        rnd = mix64(stream + inc)
         k = j + (rnd % np.uint64(N - j)).astype(np.int64)
         pj = pool[rows, j].copy()
         pool[rows, j] = pool[rows, k]
@@ -343,16 +159,36 @@ def _draw_rows_np(N, n1, n, seed, rep_lo, first, second):
     sub = pool[:, :n1].copy()
     for j in range(n):
         inc = np.uint64((_GOLDEN_INT * (n1 + j + 1)) & _MASK64)
-        rnd = _mix_np(stream + inc)
+        rnd = mix64(stream + inc)
         k = j + (rnd % np.uint64(n1 - j)).astype(np.int64)
         sj = sub[rows, j].copy()
         sub[rows, j] = sub[rows, k]
         sub[rows, k] = sj
-    first[:] = np.sort(pool[:, :n1], axis=1)
-    second[:] = np.sort(sub[:, :n], axis=1)
+    return np.sort(pool[:, :n1], axis=1), np.sort(sub[:, :n], axis=1)
 
 
-def _stats_rows_np(y, x, z, first, second, aux_zbar, aux_sz2, out, flags):
+def _powers(f, f2):
+    """Factors of f**p for p = 0..4, built from f and its square f2."""
+    return ([], [f], [f2], [f2, f], [f2, f2])
+
+
+def stats_rows(
+    y: np.ndarray,
+    x: np.ndarray,
+    z: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    aux_zbar: float,
+    aux_sz2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample statistics rows for a batch of index draws.
+
+    Returns (rows, flags). rows[t] holds [r, u, v, w, a, alpha, beta,
+    gamma, delta] for draw t, NaN where undefined; flags[t] is 0 or one
+    of FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Rows flagged
+    SINGULAR still carry valid r, u, v, w, a.
+    """
+    y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
     n1 = first.shape[1]
     n = second.shape[1]
     x1 = x[first]
@@ -374,27 +210,10 @@ def _stats_rows_np(y, x, z, first, second, aux_zbar, aux_sz2, out, flags):
     dx2 = dx * dx
     dz2 = dz * dz
 
-    def tot(term):
-        return term.sum(axis=1)
-
-    m200 = tot(dy2)
-    m020 = tot(dx2)
-    m002 = tot(dz2)
-    m110 = tot(dy * dx)
-    m210 = tot(dy2 * dx)
-    m030 = tot(dx2 * dx)
-    m120 = tot(dy * dx2)
-    m220 = tot(dy2 * dx2)
-    m040 = tot(dx2 * dx2)
-    m130 = tot(dy * dx2 * dx)
-    m201 = tot(dy2 * dz)
-    m021 = tot(dx2 * dz)
-    m111 = tot(dy * dx * dz)
-    m202 = tot(dy2 * dz2)
-    m022 = tot(dx2 * dz2)
-    m112 = tot(dy * dx * dz2)
-    m003 = tot(dz2 * dz)
-    m004 = tot(dz2 * dz2)
+    m200 = dy2.sum(axis=1)
+    m020 = dx2.sum(axis=1)
+    m002 = dz2.sum(axis=1)
+    m110 = (dy * dx).sum(axis=1)
 
     degenerate = (
         (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0) | (vx1 <= 0.0) | (vz1 <= 0.0)
@@ -423,170 +242,43 @@ def _stats_rows_np(y, x, z, first, second, aux_zbar, aux_sz2, out, flags):
         )
         nonfinite = core_bad & ~degenerate
 
-        vy = m200 / n
-        vx = m020 / n
-        vz = m002 / n
-        sdy = np.sqrt(vy)
-        sdx = np.sqrt(vx)
-        sdz = np.sqrt(vz)
-        d210 = (m210 / n) / (vy * sdx)
-        d030 = (m030 / n) / (vx * sdx)
-        d120 = (m120 / n) / (sdy * vx)
-        d220 = (m220 / n) / (vy * vx)
-        d040 = (m040 / n) / (vx * vx)
-        d130 = (m130 / n) / (sdy * vx * sdx)
-        d201 = (m201 / n) / (vy * sdz)
-        d021 = (m021 / n) / (vx * sdz)
-        d111 = (m111 / n) / (sdy * sdx * sdz)
-        d202 = (m202 / n) / (vy * vz)
-        d022 = (m022 / n) / (vx * vz)
-        d112 = (m112 / n) / (sdy * sdx * vz)
-        d003 = (m003 / n) / (vz * sdz)
-        d004 = (m004 / n) / (vz * vz)
+        # d_pqm = mean(dy^p dx^q dz^m) / (sdy^p sdx^q sdz^m); _powers fixes
+        # the order of the factors, and with it the rounding of every row
+        dev = [_powers(dy, dy2), _powers(dx, dx2), _powers(dz, dz2)]
+        scale = [_powers(np.sqrt(var), var) for var in (m200 / n, m020 / n, m002 / n)]
+        std = {}
+        for t in WEIGHT_TRIPLES:
+            num = reduce(mul, dev[0][t[0]] + dev[1][t[1]] + dev[2][t[2]])
+            den = reduce(mul, scale[0][t[0]] + scale[1][t[1]] + scale[2][t[2]])
+            std[t] = (num.sum(axis=1) / n) / den
 
-        chx = np.sqrt(sx2) / xbar
-        chz = np.sqrt(sz2) / zbar
-        ah = (2.0 * d120 / r - d210 - d030) * chx
-        bh = 2.0 * d130 / r - d220 - d040
-        dh = (2.0 * d111 / r - d201 - d021) * chz
-        fh = 2.0 * d112 / r - d202 - d022
-        ex = d040 - d030 * d030 - 1.0
-        ez = d004 - d003 * d003 - 1.0
-        scale_x = np.abs(d040) + d030 * d030 + 1.0
-        scale_z = np.abs(d004) + d003 * d003 + 1.0
-        alpha = (bh * chx * d030 - ah * (d040 - 1.0)) / (2.0 * chx * chx * ex)
-        beta = (ah * d030 - bh * chx) / (2.0 * chx * ex)
-        gamma = (fh * chz * d003 - dh * (d004 - 1.0)) / (2.0 * chz * chz * ez)
-        delta = (dh * d003 - fh * chz) / (2.0 * chz * ez)
-
+        span_x, singular_x = spread(std[0, 4, 0], std[0, 3, 0])
+        span_z, singular_z = spread(std[0, 0, 4], std[0, 0, 3])
+        _, weights = optimum_weights(
+            lambda p, q, m: std[p, q, m],
+            np.sqrt(sx2) / xbar,
+            np.sqrt(sz2) / zbar,
+            r,
+            span_x,
+            span_z,
+        )
+        out = np.column_stack((r, u, v, w, a) + weights)
         singular = (
             (xbar == 0.0)
             | (zbar == 0.0)
             | (np.abs(r) < ZERO_R_TOL)
-            | (ex <= SINGULAR_RTOL * scale_x)
-            | (ez <= SINGULAR_RTOL * scale_z)
-            | ~(
-                np.isfinite(alpha)
-                & np.isfinite(beta)
-                & np.isfinite(gamma)
-                & np.isfinite(delta)
-            )
+            | singular_x
+            | singular_z
+            | ~np.isfinite(out[:, COL_ALPHA:]).all(axis=1)
         )
     singular &= ~(degenerate | nonfinite)
-
-    out[:, COL_R] = r
-    out[:, COL_U] = u
-    out[:, COL_V] = v
-    out[:, COL_W] = w
-    out[:, COL_A] = a
-    out[:, COL_ALPHA] = alpha
-    out[:, COL_BETA] = beta
-    out[:, COL_GAMMA] = gamma
-    out[:, COL_DELTA] = delta
     out[degenerate | nonfinite, :] = np.nan
     out[singular, COL_ALPHA:] = np.nan
 
-    flags[:] = 0
+    flags = np.zeros(first.shape[0], np.uint8)
     flags[degenerate] = FLAG_DEGENERATE
     flags[nonfinite] = FLAG_NONFINITE
     flags[singular] = FLAG_SINGULAR
-
-
-# ----------------------------------------------------------------------
-# public wrappers
-
-_warmed: set[str] = set()
-
-
-def warmup(backend: str | None = None) -> str:
-    """Force one tiny kernel run so numba compiles outside timed regions.
-
-    Returns the resolved backend name. Safe to call repeatedly and from
-    a single thread before fanning work out to many.
-    """
-    name = resolve_backend(backend)
-    if name in _warmed:
-        return name
-    y = np.array([1.0, 2.0, 4.0, 3.0, 7.0])
-    x = np.array([2.0, 1.0, 3.0, 5.0, 4.0])
-    z = np.array([1.0, 3.0, 2.0, 4.0, 6.0])
-    first, second = draw_rows(5, 4, 3, 2, seed=1, backend=name)
-    stats_rows(y, x, z, first, second, 3.2, 3.7, backend=name)
-    _warmed.add(name)
-    return name
-
-
-def _draw_impl(name: str):
-    return _draw_rows_nb if name == "numba" else _draw_rows_np
-
-
-def _stats_impl(name: str):
-    return _stats_rows_nb if name == "numba" else _stats_rows_np
-
-
-def draw_rows(
-    N: int,
-    n1: int,
-    n: int,
-    reps: int,
-    seed: int,
-    rep_lo: int = 0,
-    backend: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `reps` two-phase index samples, replications rep_lo onward.
-
-    Returns (first, second): sorted int64 index arrays of shape
-    (reps, n1) and (reps, n), second[t] a subset of first[t].
-    Replication t depends only on (seed, rep_lo + t), never on reps or
-    chunking, which is what makes parallel simulation order-free.
-    """
-    if not (2 <= n <= n1 <= N):
-        raise InvalidParameter("need 2 <= n <= n1 <= N")
-    if reps < 0 or rep_lo < 0:
-        raise InvalidParameter("reps and rep_lo must be nonnegative")
-    name = resolve_backend(backend)
-    first = np.empty((reps, n1), np.int64)
-    second = np.empty((reps, n), np.int64)
-    if reps:
-        _draw_impl(name)(
-            int(N), int(n1), int(n), np.uint64(int(seed) & _MASK64), int(rep_lo), first, second
-        )
-    return first, second
-
-
-def stats_rows(
-    y: np.ndarray,
-    x: np.ndarray,
-    z: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-    aux_zbar: float,
-    aux_sz2: float,
-    backend: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample statistics rows for a batch of index draws.
-
-    Returns (rows, flags). rows[t] holds [r, u, v, w, a, alpha, beta,
-    gamma, delta] for draw t, NaN where undefined; flags[t] is 0 or one
-    of FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Rows flagged
-    SINGULAR still carry valid r, u, v, w, a.
-    """
-    name = resolve_backend(backend)
-    M = first.shape[0]
-    out = np.empty((M, NCOLS), np.float64)
-    flags = np.empty(M, np.uint8)
-    if M:
-        _stats_impl(name)(
-            np.ascontiguousarray(y, np.float64),
-            np.ascontiguousarray(x, np.float64),
-            np.ascontiguousarray(z, np.float64),
-            first,
-            second,
-            float(aux_zbar),
-            float(aux_sz2),
-            out,
-            flags,
-        )
     return out, flags
 
 

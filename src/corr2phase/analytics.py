@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ._kernels import SINGULAR_RTOL, ZERO_R_TOL
+from ._kernels import ZERO_R_TOL, optimum_weights, spread
 from .errors import (
     InvalidDesign,
     InvalidParameter,
@@ -82,16 +82,9 @@ def _check_sizes(n: int, n1: int) -> None:
 
 
 def _span_or_raise(kurt: float, skew: float, axis: str) -> float:
-    """Excess spread kurt - skew^2 - 1, guarded against singularity.
-
-    This quantity is the determinant scale of the 2x2 system for one
-    axis; it is positive for every nondegenerate distribution and zero
-    exactly when the squared variable is an affine function of the
-    variable itself (a two-point distribution).
-    """
-    span = kurt - skew * skew - 1.0
-    scale = abs(kurt) + skew * skew + 1.0
-    if span <= SINGULAR_RTOL * scale:
+    """Excess spread kurt - skew^2 - 1 of one axis, guarded against singularity."""
+    span, singular = spread(kurt, skew)
+    if singular:
         raise SingularDenominator(
             f"moment table of {axis} is two-point degenerate: "
             f"kurtosis {kurt:g} too close to skewness^2 + 1"
@@ -105,13 +98,13 @@ def _optimum_from_table(
     c_z: float,
     rho: float,
 ) -> OptimumConstants:
-    """Shared core for population and plug-in optimum constants.
+    """Optimum constants from a standardized-moment table, with typed errors.
 
     `d` returns standardized central moments; c_x, c_z, rho are the
     coefficients of variation and the correlation on the same footing.
-    The same code serves exact population tables and sample estimates,
-    which keeps the plug-in estimators consistent with the theory by
-    construction.
+    It serves exact population tables and sample estimates alike, and
+    the per-sample kernel runs the same optimum_weights, which keeps the
+    plug-in estimators consistent with the theory by construction.
     """
     if abs(rho) < ZERO_R_TOL:
         raise ZeroCorrelation(
@@ -121,34 +114,8 @@ def _optimum_from_table(
     skew_z, kurt_z = d(0, 0, 3), d(0, 0, 4)
     span_x = _span_or_raise(kurt_x, skew_x, "x")
     span_z = _span_or_raise(kurt_z, skew_z, "z")
-
-    slope_mean_x = (2.0 * d(1, 2, 0) / rho - d(2, 1, 0) - skew_x) * c_x
-    slope_var_x = 2.0 * d(1, 3, 0) / rho - d(2, 2, 0) - kurt_x
-    slope_mean_z = (2.0 * d(1, 1, 1) / rho - d(2, 0, 1) - d(0, 2, 1)) * c_z
-    slope_var_z = 2.0 * d(1, 1, 2) / rho - d(2, 0, 2) - d(0, 2, 2)
-
-    weight_mean_x = (
-        slope_var_x * c_x * skew_x - slope_mean_x * (kurt_x - 1.0)
-    ) / (2.0 * c_x * c_x * span_x)
-    weight_var_x = (slope_mean_x * skew_x - slope_var_x * c_x) / (
-        2.0 * c_x * span_x
-    )
-    weight_mean_z = (
-        slope_var_z * c_z * skew_z - slope_mean_z * (kurt_z - 1.0)
-    ) / (2.0 * c_z * c_z * span_z)
-    weight_var_z = (slope_mean_z * skew_z - slope_var_z * c_z) / (
-        2.0 * c_z * span_z
-    )
-    return OptimumConstants(
-        slope_mean_x=slope_mean_x,
-        slope_var_x=slope_var_x,
-        slope_mean_z=slope_mean_z,
-        slope_var_z=slope_var_z,
-        weight_mean_x=weight_mean_x,
-        weight_var_x=weight_var_x,
-        weight_mean_z=weight_mean_z,
-        weight_var_z=weight_var_z,
-    )
+    slopes, weights = optimum_weights(d, c_x, c_z, rho, span_x, span_z)
+    return OptimumConstants(*slopes, *weights)
 
 
 def optimum_constants(m: MomentSet) -> OptimumConstants:
@@ -294,18 +261,10 @@ def min_var_td(m: MomentSet, n: int, n1: int) -> float:
 def variance_gap(m: MomentSet, n: int, n1: int) -> float:
     """How much the known z moments lower the minimized variance.
 
-    Computed from the closed form and cross-checked against the
-    subtraction of the two minima; the two must agree to rounding
-    because they share every intermediate.
+    This is the z reduction of the closed form, min_var_hd - min_var_td
+    up to the rounding of that subtraction.
     """
-    base, red_x, red_z = _variance_components(m, n, n1)
-    hd = base - red_x
-    td = hd - red_z
-    by_subtraction = hd - td
-    assert math.isclose(red_z, by_subtraction, rel_tol=1e-9, abs_tol=1e-15), (
-        "gap identity violated: closed form and subtraction disagree"
-    )
-    return red_z
+    return _variance_components(m, n, n1)[2]
 
 
 def pre(var_base: float, var_other: float) -> float:

@@ -43,15 +43,6 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--backend",
-        choices=("auto", "numba", "numpy"),
-        default=None,
-        help="kernel backend (default: CORR2PHASE_BACKEND or auto)",
-    )
-
-
 def _add_design(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="second-phase sample size")
     p.add_argument("--n1", type=int, required=True, help="first-phase sample size")
@@ -90,7 +81,7 @@ def _cmd_efficiency(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def _cmd_estimate(args: argparse.Namespace) -> int:
     frame = io.load_population_csv(args.pop)
     design = DesignSpec(N=frame.N, n1=args.n1, n=args.n)
-    sample = draw_two_phase(frame, design, args.seed, rep=args.rep, backend=args.backend)
+    sample = draw_two_phase(frame, design, args.seed, rep=args.rep)
     stats = sample_statistics(frame, sample, KnownAux.from_frame(frame))
     specs = args.estimator or [EstimatorSpec(kind=k) for k in PARAMETER_FREE_KINDS]
     estimates: dict[str, float] = {}
@@ -124,7 +115,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         max_skip_fraction=args.max_skip_fraction,
     )
     _emit(io.simulation_doc(result), args.out)
@@ -139,7 +129,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         design,
         args.estimator,
         cap=args.cap,
-        backend=args.backend,
         max_skip_fraction=args.max_skip_fraction,
     )
     _emit(io.enumeration_doc(result), args.out)
@@ -189,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="clamp estimates into [-1, 1] and record which were clamped",
     )
-    _add_backend(p)
     _add_out(p)
     p.set_defaults(func=_cmd_estimate)
 
@@ -206,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.01,
         help="fail if more than this fraction of replications is skipped",
     )
-    _add_backend(p)
     _add_out(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -221,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.01,
         help="fail if more than this fraction of pairs is skipped",
     )
-    _add_backend(p)
     _add_out(p)
     p.set_defaults(func=_cmd_enumerate)
     return parser

@@ -30,6 +30,7 @@ from .errors import (
     ExcessiveSkips,
     InvalidDesign,
     InvalidParameter,
+    NonFiniteEstimate,
     TooManySamples,
 )
 from .estimators import SKIP_LABELS, SKIP_OK, EstimatorSpec, evaluate_rows, parse_estimator
@@ -113,6 +114,19 @@ def analytic_variance_for(
         return None
 
 
+def _sum(terms: np.ndarray) -> float:
+    """Exact sum of an aggregate; NonFiniteEstimate if it overflows."""
+    try:
+        total = math.fsum(terms.tolist())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonFiniteEstimate(
+            f"a sum over {terms.shape[0]} kept replications overflows a float"
+        )
+    return total
+
+
 def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
     used = codes == SKIP_OK
     k = int(np.count_nonzero(used))
@@ -127,20 +141,22 @@ def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
             f"all {total} replications were skipped: {reasons}"
         )
     kept = values[used]
-    mean = math.fsum(kept.tolist()) / k
-    err = kept - rho
-    qs = err * err
-    mse = math.fsum(qs.tolist()) / k
-    if k >= 2:
-        ss_v = math.fsum((kept * kept).tolist())
-        var_v = max((ss_v - k * mean * mean) / (k - 1), 0.0)
-        se_mean = math.sqrt(var_v / k)
-        ss_q = math.fsum((qs * qs).tolist())
-        var_q = max((ss_q - k * mse * mse) / (k - 1), 0.0)
-        se_mse = math.sqrt(var_q / k)
-    else:
-        se_mean = float("nan")
-        se_mse = float("nan")
+    # an overflowing square makes its sum non-finite, which _sum reports
+    with np.errstate(over="ignore"):
+        mean = _sum(kept) / k
+        err = kept - rho
+        qs = err * err
+        mse = _sum(qs) / k
+        if k >= 2:
+            ss_v = _sum(kept * kept)
+            var_v = max((ss_v - k * mean * mean) / (k - 1), 0.0)
+            se_mean = math.sqrt(var_v / k)
+            ss_q = _sum(qs * qs)
+            var_q = max((ss_q - k * mse * mse) / (k - 1), 0.0)
+            se_mse = math.sqrt(var_q / k)
+        else:
+            se_mean = float("nan")
+            se_mse = float("nan")
     return k, total - k, reasons, mean, mse, se_mean, se_mse
 
 
@@ -161,15 +177,14 @@ def simulate(
     reps: int,
     seed: int,
     workers: int = 1,
-    backend: str | None = None,
     max_skip_fraction: float = 0.01,
 ) -> SimulationResult:
     """Repeatedly draw two-phase samples and evaluate one estimator.
 
     The known z moments handed to the estimators are the exact
     population values of the frame. Results depend on (frame, design,
-    estimator, reps, seed) only; workers and backend change speed and
-    rounding respectively, never the draws.
+    estimator, reps, seed) only; workers change speed, never the
+    draws or the result. The seed must lie in [0, 2**64).
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -178,12 +193,9 @@ def simulate(
         raise InvalidParameter("reps must be at least 1")
     if workers < 1:
         raise InvalidParameter("workers must be at least 1")
-    if seed < 0:
-        raise InvalidParameter("seed must be nonnegative")
 
     m = population_moments(frame)
     aux = KnownAux.from_frame(frame)
-    name = _kernels.warmup(backend)
 
     rows = np.empty((reps, _kernels.NCOLS))
     flags = np.empty(reps, np.uint8)
@@ -193,10 +205,10 @@ def simulate(
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
         first, second = _kernels.draw_rows(
-            design.N, design.n1, design.n, hi - lo, seed, rep_lo=lo, backend=name
+            design.N, design.n1, design.n, hi - lo, seed, rep_lo=lo
         )
         out, fl = _kernels.stats_rows(
-            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2, backend=name
+            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2
         )
         rows[lo:hi] = out
         flags[lo:hi] = fl
@@ -236,7 +248,6 @@ def enumerate_exact(
     design: DesignSpec,
     estimator: EstimatorSpec | str,
     cap: int = 2_000_000,
-    backend: str | None = None,
     max_skip_fraction: float = 0.01,
 ) -> EnumerationResult:
     """Average an estimator over every possible two-phase sample.
@@ -260,7 +271,6 @@ def enumerate_exact(
 
     m = population_moments(frame)
     aux = KnownAux.from_frame(frame)
-    name = _kernels.warmup(backend)
 
     first_all = np.array(
         list(itertools.combinations(range(design.N), design.n1)), dtype=np.int64
@@ -278,7 +288,7 @@ def enumerate_exact(
         first = np.repeat(fblock, k2, axis=0)
         second = fblock[:, patterns].reshape(b * k2, design.n)
         rows, flags = _kernels.stats_rows(
-            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2, backend=name
+            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2
         )
         vals, cds = evaluate_rows(spec, rows, flags)
         values[i * k2 : i * k2 + b * k2] = vals

@@ -145,7 +145,6 @@ def draw_two_phase(
     design: DesignSpec,
     seed: int,
     rep: int = 0,
-    backend: str | None = None,
 ) -> TwoPhaseSample:
     """Draw one two-phase sample, replication `rep` of stream `seed`.
 
@@ -155,7 +154,7 @@ def draw_two_phase(
     if design.N != frame.N:
         raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
     first, second = _kernels.draw_rows(
-        design.N, design.n1, design.n, reps=1, seed=seed, rep_lo=rep, backend=backend
+        design.N, design.n1, design.n, reps=1, seed=seed, rep_lo=rep
     )
     return TwoPhaseSample(
         design=design,
@@ -164,25 +163,6 @@ def draw_two_phase(
         seed=int(seed),
         rep=int(rep),
     )
-
-
-# Standardized-moment triples computed from the second phase.
-_HAT_TRIPLES = (
-    (2, 1, 0),
-    (0, 3, 0),
-    (1, 2, 0),
-    (2, 2, 0),
-    (0, 4, 0),
-    (1, 3, 0),
-    (2, 0, 1),
-    (0, 2, 1),
-    (1, 1, 1),
-    (2, 0, 2),
-    (0, 2, 2),
-    (1, 1, 2),
-    (0, 0, 3),
-    (0, 0, 4),
-)
 
 
 def sample_statistics(
@@ -238,7 +218,7 @@ def sample_statistics(
         (0, 2, 0): 1.0,
         (0, 0, 2): 1.0,
     }
-    for p, q, m in _HAT_TRIPLES:
+    for p, q, m in _kernels.WEIGHT_TRIPLES:
         mu_hat = float(np.sum(dy**p * dx**q * dz**m)) / n
         delta_hat[(p, q, m)] = mu_hat / (sdy**p * sdx**q * sdz**m)
 

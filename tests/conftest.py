@@ -5,16 +5,8 @@ import numpy as np
 import pytest
 
 import corr2phase as c2p
-from corr2phase import _kernels
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_backends():
-    # Compile the jit kernels once, before anything that measures time.
-    for backend in _kernels.available_backends():
-        _kernels.warmup(backend)
 
 
 @pytest.fixture(scope="session")

@@ -370,26 +370,25 @@ class TestTopLevel:
         code, _, _ = run_cli(["nonsense"], capsys)
         assert code == 2
 
-    def test_backend_flag_accepted(self, capsys):
-        code, out, _ = run_cli(
-            [
-                "simulate",
-                "--pop",
-                "fixtures/sixunit.csv",
-                "--n",
-                "3",
-                "--n1",
-                "4",
-                "--estimator",
-                "sample-r",
-                "--reps",
-                "100",
-                "--seed",
-                "5",
-                "--backend",
-                "numpy",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert math.isfinite(json.loads(out)["mean_estimate"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    @pytest.mark.parametrize("seed", ["-5", "18446744073709551619"])
+    def test_seed_outside_64_bits_is_data_error(self, command, seed, capsys):
+        argv = [command, "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4"]
+        if command == "simulate":
+            argv += ["--estimator", "sample-r", "--reps", "10"]
+        code, out, err = run_cli(argv + ["--seed", seed], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: seed must lie in [0, 2**64)")
+
+    def test_overflowing_aggregate_is_data_error(self, tmp_path, capsys):
+        frame = c2p.random_population(16, seed=3)
+        path = tmp_path / "pop.csv"
+        table = np.column_stack((frame.y, frame.x, frame.z)).tolist()
+        path.write_text("y,x,z\n" + "".join(f"{y!r},{x!r},{z!r}\n" for y, x, z in table))
+        argv = ["enumerate", "--pop", str(path), "--n1", "8", "--n", "4",
+                "--estimator", "td-star:power"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err

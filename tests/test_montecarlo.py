@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import corr2phase as c2p
-from corr2phase import _kernels
 from corr2phase.errors import (
     AllSamplesDegenerate,
     ExcessiveSkips,
     InvalidDesign,
     InvalidParameter,
+    NonFiniteEstimate,
     TooManySamples,
 )
-from corr2phase.montecarlo import analytic_variance_for
+from corr2phase.montecarlo import _aggregate, analytic_variance_for
 
 # Frozen values from the exact-rational enumeration oracle for the
 # six-unit population under the N=6, n1=4, n=3 design (60 pairs).
@@ -174,33 +174,17 @@ class TestSimulation:
         with pytest.raises(InvalidDesign):
             c2p.simulate(six_frame, c2p.DesignSpec(7, 4, 3), "sample-r", reps=5, seed=1)
 
+    def test_overflowing_square_is_typed(self):
+        # the mean is finite, but the squared error of 1e200 is not
+        with pytest.raises(NonFiniteEstimate):
+            _aggregate(np.array([1e200, 1.0]), np.zeros(2, np.uint8), 0.5)
 
-class TestBackends:
-    def test_backends_agree_to_rounding(self, chain_frame, chain_design):
-        if len(_kernels.available_backends()) < 2:
-            pytest.skip("compiled backend unavailable")
-        runs = {
-            name: c2p.simulate(
-                chain_frame,
-                chain_design,
-                "td-star:power",
-                reps=3000,
-                seed=11,
-                backend=name,
-            )
-            for name in ("numba", "numpy")
-        }
-        a, b = runs["numba"], runs["numpy"]
-        # Draws are bit-identical across backends; statistics differ
-        # only in float rounding.
-        assert a.reps_used == b.reps_used
-        assert a.skip_reasons == b.skip_reasons
-        assert a.mean_estimate == pytest.approx(b.mean_estimate, rel=1e-12)
-        assert a.empirical_mse == pytest.approx(b.empirical_mse, rel=1e-10)
-
-    def test_unknown_backend_rejected(self, six_frame):
-        with pytest.raises(InvalidParameter):
-            c2p.simulate(six_frame, NESTED, "sample-r", reps=5, seed=1, backend="gpu")
+    def test_overflowing_enumeration_is_typed(self):
+        # The plug-in power estimator reaches 1.3e308 on this design, so
+        # the exact sum of the kept values overflows.
+        frame = c2p.random_population(16, seed=3)
+        with pytest.raises(NonFiniteEstimate, match="overflows"):
+            c2p.enumerate_exact(frame, c2p.DesignSpec(16, 8, 4), "td-star:power")
 
 
 @pytest.fixture(scope="module")

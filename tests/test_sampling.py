@@ -94,16 +94,6 @@ class TestDesignAndDraw:
             and np.array_equal(a.second_phase, c.second_phase)
         )
 
-    def test_draw_backends_agree(self, six_frame):
-        design = c2p.DesignSpec(N=6, n1=4, n=3)
-        if len(_kernels.available_backends()) < 2:
-            pytest.skip("single backend build")
-        for rep in range(20):
-            a = c2p.draw_two_phase(six_frame, design, seed=9, rep=rep, backend="numba")
-            b = c2p.draw_two_phase(six_frame, design, seed=9, rep=rep, backend="numpy")
-            assert np.array_equal(a.first_phase, b.first_phase)
-            assert np.array_equal(a.second_phase, b.second_phase)
-
     def test_sample_container_validation(self):
         design = c2p.DesignSpec(N=6, n1=4, n=3)
         good_second = np.array([0, 1, 2])
