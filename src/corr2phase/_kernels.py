@@ -1,8 +1,11 @@
 """Hot numeric kernels: vectorized numpy over many replications at once.
 
 Sample draws use a counter-based splitmix64 generator, so replication t
-of a run is a pure function of (seed, t). Floating-point statistics are
-exactly reproducible for the same index arrays.
+of a run is a pure function of (seed, t). The draw tracks only the
+first-phase positions and the units swapped into them, so its scratch
+is O(n1) per replication and its cost does not grow with N.
+Floating-point statistics are exactly reproducible for the same index
+arrays.
 
 The optimum-weight closed form lives here too (optimum_weights), in
 plain arithmetic, so that the per-sample kernel and the scalar
@@ -34,6 +37,10 @@ COL_R, COL_U, COL_V, COL_W, COL_A = 0, 1, 2, 3, 4
 COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA = 5, 6, 7, 8
 NCOLS = 9
 
+# Scratch of one replication through draw_rows and stats_rows, in 8-byte
+# elements per first-phase unit: a bound that holds for any n <= n1.
+SCRATCH_PER_N1 = 32
+
 FLAG_DEGENERATE = 1  # a required sample variance is zero
 FLAG_NONFINITE = 2  # a core statistic (r, u, v, w, a) is not finite
 FLAG_SINGULAR = 4  # plug-in optimum constants could not be formed
@@ -62,8 +69,7 @@ WEIGHT_TRIPLES = (
     (0, 0, 4),
 )
 
-_GOLDEN_INT = 0x9E3779B97F4A7C15
-_GOLDEN = np.uint64(_GOLDEN_INT)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
@@ -134,37 +140,83 @@ def draw_rows(
     (reps, n1) and (reps, n), second[t] a subset of first[t].
     Replication t depends only on (seed, rep_lo + t), never on reps or
     chunking, which is what makes parallel simulation order-free. The
-    seed must lie in [0, 2**64).
+    seed must lie in [0, 2**64) and the last replication index,
+    rep_lo + reps - 1, below 2**64 - 1.
+
+    Each replication is a partial Fisher-Yates shuffle: n1 swaps over
+    the population, then n swaps over the first phase. Swap j pairs
+    position j with k_j = j + mix64(stream + GOLDEN*(j+1)) mod (span - j),
+    where the span is N in phase one and n1 in phase two. The targets
+    never depend on the pool's contents, so all of them come from one
+    vectorized call. Positions below n1 keep their index, and the at
+    most n1 distinct targets beyond are relabelled onto slots
+    n1..2*n1-1, so the pool has min(N, 2*n1) slots: scratch is O(n1)
+    per replication whatever N is.
     """
     if not (2 <= n <= n1 <= N):
         raise InvalidParameter("need 2 <= n <= n1 <= N")
+    if N * n1 >= 1 << 62:
+        raise InvalidParameter(f"N * n1 must stay below 2**62, got N={N}, n1={n1}")
+    reps, rep_lo = int(reps), int(rep_lo)
     if reps < 0 or rep_lo < 0:
         raise InvalidParameter("reps and rep_lo must be nonnegative")
+    if rep_lo + reps > _MASK64:
+        raise InvalidParameter(
+            f"replications must lie in [0, 2**64 - 1), got rep_lo={rep_lo}, reps={reps}"
+        )
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
         raise InvalidParameter(f"seed must lie in [0, 2**64), got {seed}")
-    ticks = np.arange(rep_lo + 1, rep_lo + reps + 1, dtype=np.uint64)
+    ticks = np.arange(1, reps + 1, dtype=np.uint64) + np.uint64(rep_lo)
     stream = mix64(np.uint64(seed) + _GOLDEN * ticks)
-    pool = np.broadcast_to(np.arange(N, dtype=np.int64), (reps, N)).copy()
-    rows = np.arange(reps)
+
+    # swap targets, one row per step (n1 first-phase, then n second-phase)
+    # and one column per replication; uint64 arrays wrap silently, as the
+    # counter scheme wants
+    step = np.arange(1, n1 + n + 1, dtype=np.uint64)
+    span = np.concatenate((N - np.arange(n1), n1 - np.arange(n))).astype(np.uint64)
+    k = mix64(stream + _GOLDEN * step[:, None])
+    k %= span[:, None]
+    k = k.view(np.int64)
+    k += np.concatenate((np.arange(n1), np.arange(n)))[:, None]
+
+    # pool[slot, t] is the unit at that slot of replication t
+    cols = np.arange(reps)
+    if N > 2 * n1:
+        # rank each replication's distinct far targets with one sort of
+        # packed (target, step) keys, then point their steps at n1 + rank
+        shift = (n1 - 1).bit_length()
+        keys = (k[:n1] << shift | np.arange(n1)[:, None]).T.copy()
+        keys.sort(axis=1)
+        target = keys >> shift
+        far = target >= n1
+        fresh = far.copy()
+        fresh[:, 1:] &= target[:, 1:] != target[:, :-1]
+        slot = np.where(far, n1 - 1 + np.cumsum(fresh, axis=1), target)
+        k[keys & ((1 << shift) - 1), cols[:, None]] = slot
+        pool = np.empty((2 * n1, reps), np.int64)
+        pool[:n1] = np.arange(n1)[:, None]
+        pool[slot, cols[:, None]] = target
+    else:
+        pool = np.empty((N, reps), np.int64)
+        pool[:] = np.arange(N)[:, None]
+
+    # swap on the flat pool: slot s of replication t sits at s*reps + t
+    flat = pool.reshape(-1)
+    k *= reps
+    k += cols
     for j in range(n1):
-        # scalar increments in masked python-int math: scalar uint64
-        # products would warn on wraparound, array ops never do
-        inc = np.uint64((_GOLDEN_INT * (j + 1)) & _MASK64)
-        rnd = mix64(stream + inc)
-        k = j + (rnd % np.uint64(N - j)).astype(np.int64)
-        pj = pool[rows, j].copy()
-        pool[rows, j] = pool[rows, k]
-        pool[rows, k] = pj
-    sub = pool[:, :n1].copy()
+        at = k[j]
+        held = pool[j].copy()
+        pool[j] = flat[at]
+        flat[at] = held
+    first = np.sort(pool[:n1].T, axis=1)
     for j in range(n):
-        inc = np.uint64((_GOLDEN_INT * (n1 + j + 1)) & _MASK64)
-        rnd = mix64(stream + inc)
-        k = j + (rnd % np.uint64(n1 - j)).astype(np.int64)
-        sj = sub[rows, j].copy()
-        sub[rows, j] = sub[rows, k]
-        sub[rows, k] = sj
-    return np.sort(pool[:, :n1], axis=1), np.sort(sub[:, :n], axis=1)
+        at = k[n1 + j]
+        held = pool[j].copy()
+        pool[j] = flat[at]
+        flat[at] = held
+    return first, np.sort(pool[:n].T, axis=1)
 
 
 def _powers(f, f2):
@@ -282,6 +334,12 @@ def stats_rows(
     return out, flags
 
 
-def chunk_rows(N: int, cap: int = 16384) -> int:
-    """Replications per kernel call, sized to bound scratch memory."""
-    return max(1, min(cap, 4_000_000 // max(N, 1)))
+def chunk_rows(width: int, cap: int = 16384) -> int:
+    """Replications per kernel call, sized to bound scratch memory.
+
+    width is the scratch one replication needs, in 8-byte elements; a
+    call then holds about 4e6 of them (32 MB), and at most cap rows.
+    simulate passes SCRATCH_PER_N1 * n1, the draw and the stats kernel
+    together; enumerate_exact passes N.
+    """
+    return max(1, min(cap, 4_000_000 // max(width, 1)))

@@ -56,7 +56,8 @@ class NonFiniteEstimate(Corr2PhaseError):
 
 
 class TooManySamples(Corr2PhaseError):
-    """Exact enumeration would exceed the configured pair budget."""
+    """Exact enumeration would exceed its pair budget, or a simulation's
+    replications would not fit in memory."""
 
 
 class AllSamplesDegenerate(Corr2PhaseError):

@@ -6,6 +6,10 @@ chunks: every replication writes to its own slot and the final
 aggregation uses exact compensated sums in slot order. simulate() with
 workers=1 and workers=8 therefore returns bit-identical results.
 
+simulate() sizes its chunks by n1, because the draw and the statistics
+kernel need O(n1) scratch per replication; its cost per replication
+does not grow with the population size N.
+
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
 every replication is skipped or if the skipped fraction exceeds
@@ -184,7 +188,8 @@ def simulate(
     The known z moments handed to the estimators are the exact
     population values of the frame. Results depend on (frame, design,
     estimator, reps, seed) only; workers change speed, never the
-    draws or the result. The seed must lie in [0, 2**64).
+    draws or the result. The seed must lie in [0, 2**64). A reps count
+    whose result rows do not fit in memory raises TooManySamples.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -197,9 +202,12 @@ def simulate(
     m = population_moments(frame)
     aux = KnownAux.from_frame(frame)
 
-    rows = np.empty((reps, _kernels.NCOLS))
-    flags = np.empty(reps, np.uint8)
-    chunk = _kernels.chunk_rows(frame.N)
+    try:
+        rows = np.empty((reps, _kernels.NCOLS))
+        flags = np.empty(reps, np.uint8)
+    except (ValueError, MemoryError):
+        raise TooManySamples(f"{reps} replications do not fit in memory") from None
+    chunk = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n1)
     spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
 
     def fill(span: tuple[int, int]) -> None:

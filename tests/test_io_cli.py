@@ -381,6 +381,24 @@ class TestTopLevel:
         assert out == ""
         assert err.startswith("error: seed must lie in [0, 2**64)")
 
+    def test_rep_beyond_stream_is_data_error(self, capsys):
+        argv = ["estimate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
+                "--seed", "1"]
+        code, out, _ = run_cli(argv + ["--rep", "18446744073709551614"], capsys)
+        assert code == 0 and json.loads(out)["kind"] == "estimate"
+        code, out, err = run_cli(argv + ["--rep", "18446744073709551615"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: replications must lie in")
+
+    def test_reps_beyond_memory_is_data_error(self, capsys):
+        argv = ["simulate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
+                "--estimator", "sample-r", "--seed", "1", "--reps", "1000000000000000000"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "do not fit in memory" in err
+
     def test_overflowing_aggregate_is_data_error(self, tmp_path, capsys):
         frame = c2p.random_population(16, seed=3)
         path = tmp_path / "pop.csv"

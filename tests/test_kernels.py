@@ -4,6 +4,7 @@ import pytest
 import corr2phase as c2p
 from corr2phase import _kernels as K
 from corr2phase.errors import InvalidParameter
+from oracles import draw_pair
 
 # Frozen splitmix64 finalizer vectors from tests/oracles.py.
 MIX_VECTORS = {
@@ -61,6 +62,33 @@ class TestRngContract:
                 K.draw_rows(6, 4, 2, reps=1, seed=seed)
         first, second = K.draw_rows(6, 4, 2, reps=2, seed=2**64 - 1)
         assert first.shape == (2, 4) and second.shape == (2, 2)
+        # replication index rep_lo + t + 1 feeds the stream as a uint64
+        first, _ = K.draw_rows(6, 4, 2, reps=1, seed=0, rep_lo=2**64 - 2)
+        assert first.shape == (1, 4)
+        for rep_lo, reps in ((2**64 - 1, 1), (2**64 - 2, 2), (0, 2**64)):
+            with pytest.raises(InvalidParameter, match="replications"):
+                K.draw_rows(6, 4, 2, reps=reps, seed=0, rep_lo=rep_lo)
+        with pytest.raises(InvalidParameter, match="N \\* n1"):
+            K.draw_rows(2**61, 2, 2, reps=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "N, n1, n, reps, seed, rep_lo",
+        [
+            (10, 6, 3, 40, 7, 0),  # N <= 2*n1: the pool is the population
+            (500, 400, 100, 4, 8, 0),
+            (60, 12, 5, 500, 9, 0),  # far targets collide often
+            (100_000, 400, 100, 3, 10, 0),
+            (60, 12, 5, 30, 11, 123_456_789),
+            (60, 12, 5, 30, 2**64 - 1, 0),
+            (1_000, 30, 10, 20, 2**64 - 1, 2**40),
+        ],
+    )
+    def test_draw_matches_oracle(self, N, n1, n, reps, seed, rep_lo):
+        first, second = K.draw_rows(N, n1, n, reps=reps, seed=seed, rep_lo=rep_lo)
+        for t in range(reps):
+            f, s = draw_pair(N, n1, n, seed, rep_lo + t)
+            assert first[t].tolist() == f, t
+            assert second[t].tolist() == s, t
 
 
 class TestStatsRows:

@@ -170,6 +170,10 @@ class TestSimulation:
         with pytest.raises(InvalidParameter):
             c2p.simulate(six_frame, NESTED, "sample-r", **kwargs)
 
+    def test_reps_beyond_memory_is_typed(self, six_frame):
+        with pytest.raises(TooManySamples, match="replications"):
+            c2p.simulate(six_frame, NESTED, "sample-r", reps=10**18, seed=1)
+
     def test_design_population_mismatch(self, six_frame):
         with pytest.raises(InvalidDesign):
             c2p.simulate(six_frame, c2p.DesignSpec(7, 4, 3), "sample-r", reps=5, seed=1)
