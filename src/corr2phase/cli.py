@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-skip-fraction",
         type=float,
         default=0.01,
-        help="fail if more than this fraction of replications is skipped",
+        help="fail if more than this fraction (0 to 1) of replications is skipped",
     )
     _add_out(p)
     p.set_defaults(func=_cmd_simulate)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-skip-fraction",
         type=float,
         default=0.01,
-        help="fail if more than this fraction of pairs is skipped",
+        help="fail if more than this fraction (0 to 1) of pairs is skipped",
     )
     _add_out(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -13,13 +13,16 @@ shapes are provided, plus plug-in variants that estimate the optimal
 adjustment weights from the same sample. At unit ratios every variant
 collapses to r exactly, because each adjustment factor is then the
 float constant 1 and each adjustment term the float constant 0.
+
+The formulas are written once, in evaluate_rows, which works on rows
+of per-sample statistics. simulate and enumerate_exact call it on
+kernel rows; estimate() calls it on the one row of a single sample and
+turns a skipped row into the matching error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from ._kernels import (
     FLAG_DEGENERATE,
     FLAG_NONFINITE,
     FLAG_SINGULAR,
+    NCOLS,
     SINGULAR_RTOL,
 )
 from .errors import (
@@ -192,118 +196,11 @@ def optimal_estimator(kind: str, m: MomentSet) -> EstimatorSpec:
     raise InvalidParameter(f"{kind!r} has no free constants to optimize")
 
 
-def _pow_product(r: float, bases: Sequence[float], exps: Sequence[float]) -> float:
-    out = r
-    for base, e in zip(bases, exps):
-        if e == 0.0:
-            continue
-        if base <= 0.0:
-            raise NonPositiveRatio(
-                f"power adjustment needs a positive ratio, got {base!r}"
-            )
-        out *= base**e
-    return out
+# Columns of a statistics row (the stats_rows layout) that the formulas read.
+_RATIO_COLS = (COL_U, COL_V, COL_W, COL_A)
+_WEIGHT_COLS = (COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA)
 
-
-def _guard_bracket(value: float, scale: float, what: str) -> float:
-    if value <= 0.0 or value <= SINGULAR_RTOL * scale:
-        raise SingularDenominator(
-            f"{what} is {value!r}; the rational adjustment broke down"
-        )
-    return value
-
-
-def estimate(spec: EstimatorSpec, stats: SampleStatistics) -> float:
-    """Evaluate one estimator on one sample's statistics.
-
-    Raises NonFiniteEstimate if the arithmetic overflows; the other
-    errors identify the specific adjustment that failed first.
-    """
-    value = _estimate_raw(spec, stats)
-    if not math.isfinite(value):
-        raise NonFiniteEstimate(f"{spec.label()} evaluated to {value!r}")
-    return value
-
-
-def _estimate_raw(spec: EstimatorSpec, stats: SampleStatistics) -> float:
-    r, u, v, w, a = stats.r, stats.u, stats.v, stats.w, stats.a
-    kind = spec.kind
-    c = spec.constants
-
-    if kind == "sample-r":
-        return r
-    if kind == "chain-ratio":
-        # Literal reference form: each factor written as the quantity
-        # it compares, not folded into u, v, w, a reciprocals. The
-        # ratio guard also keeps every literal denominator nonzero for
-        # internally consistent statistics.
-        for name, value in (("u", u), ("v", v), ("w", w), ("a", a)):
-            if not value > 0.0:
-                raise NonPositiveRatio(
-                    f"chain of ratios needs {name} > 0, got {value!r}"
-                )
-        return (
-            r
-            * (stats.mean_x_first / stats.mean_x)
-            * (stats.aux.zbar / stats.mean_z_first)
-            * (stats.s2_x_first / stats.s2_x)
-            * (stats.aux.sz2 / stats.s2_z_first)
-        )
-    if kind in ("gen-power", "t-power"):
-        return _pow_product(r, (u, v, w, a), c)
-    if kind == "h-power":
-        return _pow_product(r, (u, v), c)
-    if kind == "h-linear":
-        return r * (1.0 + c[0] * (u - 1.0) + c[1] * (v - 1.0))
-    if kind == "t-linear":
-        return r * (
-            1.0
-            + c[0] * (u - 1.0)
-            + c[1] * (v - 1.0)
-            + c[2] * (w - 1.0)
-            + c[3] * (a - 1.0)
-        )
-    if kind == "difference":
-        return (
-            r
-            + c[0] * (u - 1.0)
-            + c[1] * (v - 1.0)
-            + c[2] * (w - 1.0)
-            + c[3] * (a - 1.0)
-        )
-
-    opt = estimated_optimum_constants(stats)
-    aw, bw, gw, dw = opt.weights()
-    if kind == "td-star:power":
-        return _pow_product(r, (u, v, w, a), (aw, bw, gw, dw))
-    if kind == "td-star:linear":
-        return r * (
-            1.0
-            + aw * (u - 1.0)
-            + bw * (v - 1.0)
-            + gw * (w - 1.0)
-            + dw * (a - 1.0)
-        )
-    if kind == "td-star:ratio":
-        den = 1.0 - bw * (v - 1.0) - dw * (a - 1.0)
-        scale = 1.0 + abs(bw * (v - 1.0)) + abs(dw * (a - 1.0))
-        _guard_bracket(den, scale, "rational adjustment denominator")
-        return r * (1.0 + aw * (u - 1.0) + gw * (w - 1.0)) / den
-    if kind == "td-star:inverse":
-        den = 1.0 - aw * (u - 1.0) - bw * (v - 1.0) - gw * (w - 1.0) - dw * (a - 1.0)
-        scale = (
-            1.0
-            + abs(aw * (u - 1.0))
-            + abs(bw * (v - 1.0))
-            + abs(gw * (w - 1.0))
-            + abs(dw * (a - 1.0))
-        )
-        _guard_bracket(den, scale, "inverse adjustment denominator")
-        return r / den
-    raise InvalidParameter(f"unhandled estimator kind {kind!r}")
-
-
-# Skip codes for the vectorized evaluator; 0 means the row was used.
+# Skip codes of the evaluator; 0 means the row was used.
 SKIP_OK = 0
 SKIP_DEGENERATE = 1
 SKIP_NONFINITE = 2
@@ -319,16 +216,24 @@ SKIP_LABELS = {
     SKIP_DENOMINATOR: "singular_denominator",
 }
 
+# What estimate() raises for a row that the evaluator skipped.
+_SKIP_ERRORS = {
+    SKIP_NONPOSITIVE: (NonPositiveRatio, "a ratio raised to a power is not positive"),
+    SKIP_DENOMINATOR: (SingularDenominator, "the denominator is not safely positive"),
+    SKIP_NONFINITE: (NonFiniteEstimate, "the estimate is not finite"),
+}
+
 
 def evaluate_rows(
     spec: EstimatorSpec, rows: np.ndarray, flags: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized estimate over statistics rows from the kernels.
+    """Evaluate one estimator on statistics rows: the package's one evaluator.
 
-    Returns (values, codes); values[t] is meaningful only where
-    codes[t] == SKIP_OK. Matches estimate() row by row: the same
-    samples are skipped for the same reasons, and kept values agree to
-    rounding error.
+    rows use the stats_rows layout: r, u, v, w, a, then the plug-in
+    weights, which only the td-star kinds read. simulate and
+    enumerate_exact pass kernel rows, and estimate() is the one-row
+    case. Returns (values, codes); values[t] is meaningful only where
+    codes[t] == SKIP_OK, and is NaN elsewhere.
     """
     M = rows.shape[0]
     codes = np.zeros(M, np.uint8)
@@ -336,98 +241,74 @@ def evaluate_rows(
     codes[(flags & FLAG_NONFINITE) != 0] = SKIP_NONFINITE
     if spec.needs_plugin:
         codes[((flags & FLAG_SINGULAR) != 0) & (codes == 0)] = SKIP_PLUGIN
+        weights = tuple(rows[:, col] for col in _WEIGHT_COLS)
+    else:
+        weights = spec.constants
 
     r = rows[:, COL_R]
-    u = rows[:, COL_U]
-    v = rows[:, COL_V]
-    w = rows[:, COL_W]
-    a = rows[:, COL_A]
+    # zip(weights, ratios) pairs the two h-kind constants with u and v only
+    ratios = tuple(rows[:, col] for col in _RATIO_COLS)
     kind = spec.kind
-    c = spec.constants
-    values = np.full(M, np.nan)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == "sample-r":
             values = r.copy()
         elif kind == "chain-ratio":
+            u, v, w, a = ratios
             nonpos = ~(u > 0.0) | ~(v > 0.0) | ~(w > 0.0) | ~(a > 0.0)
             codes[(codes == 0) & nonpos] = SKIP_NONPOSITIVE
             values = r / u / w / v / a
-        elif kind in ("gen-power", "t-power", "h-power", "td-star:power"):
-            if kind == "td-star:power":
-                exps = (
-                    rows[:, COL_ALPHA],
-                    rows[:, COL_BETA],
-                    rows[:, COL_GAMMA],
-                    rows[:, COL_DELTA],
-                )
-                bases = (u, v, w, a)
-            elif kind == "h-power":
-                exps = c
-                bases = (u, v)
-            else:
-                exps = c
-                bases = (u, v, w, a)
+        elif kind.endswith("power"):
             values = r.copy()
-            for base, e in zip(bases, exps):
+            for base, e in zip(ratios, weights):
                 if np.ndim(e) == 0 and e == 0.0:
                     continue
                 live = e != 0.0 if np.ndim(e) else np.ones(M, bool)
                 codes[(codes == 0) & live & (base <= 0.0)] = SKIP_NONPOSITIVE
                 values = values * np.where(live, base**np.asarray(e), 1.0)
-        elif kind == "h-linear":
-            values = r * (1.0 + c[0] * (u - 1.0) + c[1] * (v - 1.0))
-        elif kind == "t-linear":
-            values = r * (
-                1.0
-                + c[0] * (u - 1.0)
-                + c[1] * (v - 1.0)
-                + c[2] * (w - 1.0)
-                + c[3] * (a - 1.0)
-            )
-        elif kind == "difference":
-            values = (
-                r
-                + c[0] * (u - 1.0)
-                + c[1] * (v - 1.0)
-                + c[2] * (w - 1.0)
-                + c[3] * (a - 1.0)
-            )
-        elif kind == "td-star:linear":
-            values = r * (
-                1.0
-                + rows[:, COL_ALPHA] * (u - 1.0)
-                + rows[:, COL_BETA] * (v - 1.0)
-                + rows[:, COL_GAMMA] * (w - 1.0)
-                + rows[:, COL_DELTA] * (a - 1.0)
-            )
-        elif kind == "td-star:ratio":
-            tb = rows[:, COL_BETA] * (v - 1.0)
-            td = rows[:, COL_DELTA] * (a - 1.0)
-            den = 1.0 - tb - td
-            scale = 1.0 + np.abs(tb) + np.abs(td)
-            bad = (den <= 0.0) | (den <= SINGULAR_RTOL * scale)
-            codes[(codes == 0) & bad] = SKIP_DENOMINATOR
-            values = (
-                r
-                * (1.0 + rows[:, COL_ALPHA] * (u - 1.0) + rows[:, COL_GAMMA] * (w - 1.0))
-                / den
-            )
-        elif kind == "td-star:inverse":
-            ta = rows[:, COL_ALPHA] * (u - 1.0)
-            tb = rows[:, COL_BETA] * (v - 1.0)
-            tg = rows[:, COL_GAMMA] * (w - 1.0)
-            td = rows[:, COL_DELTA] * (a - 1.0)
-            den = 1.0 - ta - tb - tg - td
-            scale = 1.0 + np.abs(ta) + np.abs(tb) + np.abs(tg) + np.abs(td)
-            bad = (den <= 0.0) | (den <= SINGULAR_RTOL * scale)
-            codes[(codes == 0) & bad] = SKIP_DENOMINATOR
-            values = r / den
-        else:  # pragma: no cover - registry and dispatch are in sync
-            raise InvalidParameter(f"unhandled estimator kind {kind!r}")
+        else:
+            terms = [c * (x - 1.0) for c, x in zip(weights, ratios)]
+            if kind == "difference":
+                values = sum(terms, r)
+            elif kind in ("td-star:ratio", "td-star:inverse"):
+                ta, tb, tg, td = terms
+                under = (tb, td) if kind == "td-star:ratio" else terms
+                den, scale = 1.0, 1.0
+                for t in under:
+                    den = den - t
+                    scale = scale + np.abs(t)
+                bad = (den <= 0.0) | (den <= SINGULAR_RTOL * scale)
+                codes[(codes == 0) & bad] = SKIP_DENOMINATOR
+                if kind == "td-star:ratio":
+                    values = r * (1.0 + ta + tg) / den
+                else:
+                    values = r / den
+            else:  # t-linear, h-linear, td-star:linear
+                values = r * sum(terms, 1.0)
 
     keep = codes == SKIP_OK
     bad_value = keep & ~np.isfinite(values)
     codes[bad_value] = SKIP_NONFINITE
     values[codes != SKIP_OK] = np.nan
     return values, codes
+
+
+def estimate(spec: EstimatorSpec, stats: SampleStatistics) -> float:
+    """Evaluate one estimator on one sample's statistics.
+
+    The one-row case of evaluate_rows: a sample that simulate skips as
+    nonpositive_ratio, singular_denominator or nonfinite_value makes
+    estimate raise NonPositiveRatio, SingularDenominator or
+    NonFiniteEstimate. Plug-in kinds first form their constants with
+    estimated_optimum_constants and pass on its errors.
+    """
+    row = np.zeros((1, NCOLS))
+    row[0, COL_R] = stats.r
+    row[0, _RATIO_COLS] = stats.u, stats.v, stats.w, stats.a
+    if spec.needs_plugin:
+        row[0, _WEIGHT_COLS] = estimated_optimum_constants(stats).weights()
+    values, codes = evaluate_rows(spec, row, np.zeros(1, np.uint8))
+    if codes[0] != SKIP_OK:
+        error, reason = _SKIP_ERRORS[int(codes[0])]
+        raise error(f"{spec.label()}: {reason}")
+    return float(values[0])

@@ -27,37 +27,51 @@ from .sampling import SampleStatistics, TwoPhaseSample
 REPORT_SCHEMA = 1
 
 
+def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def load_population_csv(path: str | os.PathLike) -> PopulationFrame:
-    """Read a population file, reporting the line of the first problem."""
+    """Read a population file, reporting the line of the first problem.
+
+    Text that is not UTF-8 and fields longer than the csv module's
+    limit are ParseErrors like any other malformed content.
+    """
     ys: list[float] = []
     xs: list[float] = []
     zs: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(f"{path}: empty file, expected header y,x,z") from None
-        if [h.strip() for h in header] != ["y", "x", "z"]:
-            raise HeaderMismatch(
-                f"{path}:1: header must be exactly 'y,x,z', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 comma-separated values, got {len(row)}"
+            header = next(reader, None)
+            if header is None:
+                raise HeaderMismatch(f"{path}: empty file, expected header y,x,z")
+            if [h.strip() for h in header] != ["y", "x", "z"]:
+                raise HeaderMismatch(
+                    f"{path}:1: header must be exactly 'y,x,z', "
+                    f"got {','.join(header)!r}"
                 )
-            try:
-                values = [float(field) for field in row]
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric value in {row!r}"
-                ) from None
-            ys.append(values[0])
-            xs.append(values[1])
-            zs.append(values[2])
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 3:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected 3 comma-separated values, "
+                        f"got {len(row)}"
+                    )
+                try:
+                    values = [float(field) for field in row]
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: non-numeric value in {row!r}"
+                    ) from None
+                ys.append(values[0])
+                xs.append(values[1])
+                zs.append(values[2])
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return PopulationFrame(
         y=np.asarray(ys), x=np.asarray(xs), z=np.asarray(zs)
     )
@@ -68,13 +82,18 @@ def load_params_json(path: str | os.PathLike) -> dict:
 
     Semantic validation (key names, ranges, consistency) happens in
     moments_from_params so that library callers constructing dicts get
-    the same checks.
+    the same checks. Text that is not UTF-8 and nesting too deep for
+    the parser are ParseErrors.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return doc

@@ -165,6 +165,15 @@ class MomentSet:
         return replace(self, notes=self.notes + tuple(extra))
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise InvalidParameter(
+            f"{name} is not finite in float64; rescale the data"
+        )
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def population_moments(frame: PopulationFrame) -> MomentSet:
     """Compute the exact moment table of a full population.
 
@@ -173,9 +182,16 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
     pairwise correlations. A zero mean leaves the matching C unset and
     records a note rather than failing, because many downstream results
     never touch that C.
+
+    Data at the edge of float64 fails with a typed error naming the
+    moment: DegenerateVariable when a second moment underflows to 0,
+    InvalidParameter when a mean, variance, C or d_pqm is not finite.
     """
     N = frame.N
-    means = {v: float(np.mean(getattr(frame, v))) for v in ("y", "x", "z")}
+    means = {
+        v: _finite(f"mean_{v}", float(np.mean(getattr(frame, v))))
+        for v in ("y", "x", "z")
+    }
     dy = frame.y - means["y"]
     dx = frame.x - means["x"]
     dz = frame.z - means["z"]
@@ -191,6 +207,18 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
         return float(np.sum(term) / N)
 
     mu200, mu020, mu002 = mu(2, 0, 0), mu(0, 2, 0), mu(0, 0, 2)
+    # Variances on the N - 1 convention.
+    s2: dict[str, float] = {}
+    for v, name, second in (
+        ("y", "mu_200", mu200),
+        ("x", "mu_020", mu020),
+        ("z", "mu_002", mu002),
+    ):
+        if second == 0.0:
+            raise DegenerateVariable(
+                f"{name} underflows to 0: {v} varies too little for float64"
+            )
+        s2[v] = _finite(f"S2_{v}", second * N / (N - 1))
     sd = {"y": math.sqrt(mu200), "x": math.sqrt(mu020), "z": math.sqrt(mu002)}
 
     # The three pure second-order triples self-normalize to 1 by
@@ -204,14 +232,14 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
     for p, q, m in DELTA_TRIPLES:
         if (p, q, m) in delta:
             continue
-        delta[(p, q, m)] = mu(p, q, m) / (
-            sd["y"] ** p * sd["x"] ** q * sd["z"] ** m
-        )
+        num = mu(p, q, m)
+        try:
+            value = num / (sd["y"] ** p * sd["x"] ** q * sd["z"] ** m)
+        except (OverflowError, ZeroDivisionError):  # the scale left float64's range
+            value = math.nan
+        delta[(p, q, m)] = _finite(delta_name((p, q, m)), value)
 
-    # Variances and covariances on the N - 1 convention.
-    s2 = {v: mu200 * N / (N - 1) for v in ("y",)}
-    s2["x"] = mu020 * N / (N - 1)
-    s2["z"] = mu002 * N / (N - 1)
+    # Covariances on the N - 1 convention.
     s_yx = mu(1, 1, 0) * N / (N - 1)
     s_yz = mu(1, 0, 1) * N / (N - 1)
     s_xz = mu(0, 1, 1) * N / (N - 1)
@@ -223,7 +251,7 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
             cv[v] = None
             notes.append(f"mean of {v} is zero; C_{v} left undefined")
         else:
-            cv[v] = math.sqrt(s2[v]) / means[v]
+            cv[v] = _finite(f"C_{v}", math.sqrt(s2[v]) / means[v])
 
     return MomentSet(
         delta=delta,
@@ -303,9 +331,13 @@ def moments_from_params(
         value = params[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidParameter(f"{key} must be a number, got {value!r}")
-        if not math.isfinite(float(value)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float64's range
+            number = math.inf
+        if not math.isfinite(number):
             raise InvalidParameter(f"{key} must be finite")
-        return float(value)
+        return number
 
     N: int | None = None
     for key in ("N", "n", "n1"):

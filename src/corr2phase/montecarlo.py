@@ -13,8 +13,8 @@ does not grow with the population size N.
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
 every replication is skipped or if the skipped fraction exceeds
-max_skip_fraction, because a heavily censored mean would silently stop
-estimating the intended quantity.
+max_skip_fraction, a fraction in [0, 1], because a heavily censored
+mean would silently stop estimating the intended quantity.
 """
 
 from __future__ import annotations
@@ -164,6 +164,14 @@ def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
     return k, total - k, reasons, mean, mse, se_mean, se_mse
 
 
+def _check_skip_fraction(budget: float) -> None:
+    # NaN fails both comparisons, so it cannot switch the budget off
+    if not 0.0 <= budget <= 1.0:
+        raise InvalidParameter(
+            f"max_skip_fraction must lie in [0, 1], got {budget!r}"
+        )
+
+
 def _check_skip_budget(
     skipped: int, total: int, reasons: Mapping[str, int], budget: float
 ) -> None:
@@ -198,6 +206,7 @@ def simulate(
         raise InvalidParameter("reps must be at least 1")
     if workers < 1:
         raise InvalidParameter("workers must be at least 1")
+    _check_skip_fraction(max_skip_fraction)
 
     m = population_moments(frame)
     aux = KnownAux.from_frame(frame)
@@ -269,6 +278,7 @@ def enumerate_exact(
     spec = _as_spec(estimator)
     if design.N != frame.N:
         raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
+    _check_skip_fraction(max_skip_fraction)
     k1 = math.comb(design.N, design.n1)
     k2 = math.comb(design.n1, design.n)
     total = k1 * k2

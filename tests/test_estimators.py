@@ -231,10 +231,15 @@ class TestChainRatio:
             c2p.estimate(c2p.parse_estimator("chain-ratio"), stats)
 
     def test_subnormal_ratio_allowed(self, pinned_stats):
-        # The guard is a sign test, not a magnitude floor.
-        stats = dataclasses.replace(pinned_stats, u=1e-320)
-        value = c2p.estimate(c2p.parse_estimator("chain-ratio"), stats)
+        # The guard is a sign test, not a magnitude floor: a subnormal u
+        # passes it, and only the size of r / u decides the outcome.
+        spec = c2p.parse_estimator("chain-ratio")
+        s = dataclasses.replace(pinned_stats, r=1e-300, u=1e-320)
+        value = c2p.estimate(spec, s)
         assert math.isfinite(value)
+        assert value == pytest.approx(s.r / s.u / s.w / s.v / s.a, rel=1e-15)
+        with pytest.raises(NonFiniteEstimate):
+            c2p.estimate(spec, dataclasses.replace(pinned_stats, u=1e-320))
 
 
 class TestPowerForms:
@@ -264,6 +269,20 @@ class TestPowerForms:
         stats = dataclasses.replace(pinned_stats, u=-0.5)
         spec = c2p.parse_estimator("gen-power:0,0.25,0.25,0.25")
         assert math.isfinite(c2p.estimate(spec, stats))
+
+    def test_overflowing_power_raises_nonfinite(self, pinned_stats):
+        # 2.0**5000 leaves float64: a typed error, as simulate skips it
+        stats = dataclasses.replace(pinned_stats, u=2.0)
+        with pytest.raises(NonFiniteEstimate):
+            c2p.estimate(c2p.parse_estimator("t-power:5000,0,0,0"), stats)
+
+    def test_overflowing_plugin_power_raises_nonfinite(self):
+        frame = c2p.random_population(12, seed=2)
+        design = c2p.DesignSpec(12, 4, 3)
+        sample = c2p.draw_two_phase(frame, design, seed=108)
+        stats = c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(frame))
+        with pytest.raises(NonFiniteEstimate):
+            c2p.estimate(c2p.parse_estimator("td-star:power"), stats)
 
 
 class TestLinearForms:

@@ -1,8 +1,12 @@
+import contextlib
 import json
 import math
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corr2phase as c2p
 from corr2phase import cli, io
@@ -70,6 +74,18 @@ class TestPopulationCsv:
         with pytest.raises(ParseError, match=":3:"):
             io.load_population_csv(path)
 
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,x,z\n1,2,1\n2,\xff,3\n")
+        with pytest.raises(ParseError, match="latin1.csv: not UTF-8"):
+            io.load_population_csv(path)
+
+    def test_oversized_field_is_parse_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("y,x,z\n1,2,1\n" + "1" * 131073 + ",2,3\n")
+        with pytest.raises(ParseError, match="wide.csv:3: field larger"):
+            io.load_population_csv(path)
+
 
 class TestParamsJson:
     def test_load_fixture(self, published_params):
@@ -92,6 +108,49 @@ class TestParamsJson:
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ParseError, match="object"):
             io.load_params_json(path)
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": "\xff"}')
+        with pytest.raises(ParseError, match="latin1.json: not UTF-8"):
+            io.load_params_json(path)
+
+    def test_deep_nesting_is_parse_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="deep.json: JSON nested too deeply"):
+            io.load_params_json(path)
+
+
+class TestMalformedInputFuzz:
+    """Random bytes as input files: exit 0 or 1, never an exception."""
+
+    @staticmethod
+    def run_quietly(argv):
+        # capsys is function-scoped, which Hypothesis rejects across examples
+        out, err = StringIO(), StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return cli.main(argv)
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=300),
+            st.binary(max_size=300).map(lambda tail: b"y,x,z\n" + tail),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_moments_csv(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        assert self.run_quietly(["moments", str(path)]) in (0, 1)
+
+    @given(data=st.binary(max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_efficiency_params(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(data)
+        argv = ["efficiency", "--params", str(path), "--n", "3", "--n1", "4"]
+        assert self.run_quietly(argv) in (0, 1)
 
 
 class TestRenderReport:
@@ -236,6 +295,13 @@ class TestEstimateCommand:
         assert "td-star:inverse" in doc["errors"]
         assert "SingularDenominator" in doc["errors"]["td-star:inverse"]
         assert "td-star:inverse" not in doc["estimates"]
+
+    def test_overflowing_power_reported_not_fatal(self, capsys):
+        argv = self.BASE + ["--seed", "1", "--estimator", "t-power:5000,0,0,0"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        error = json.loads(out)["errors"]["t-power:5000.0,0.0,0.0,0.0"]
+        assert error.startswith("NonFiniteEstimate")
 
     def test_clamp_records_labels(self, capsys):
         code, out, _ = run_cli(self.BASE + ["--seed", "0", "--clamp"], capsys)
@@ -410,3 +476,41 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    @pytest.mark.parametrize("budget", ["nan", "-0.5"])
+    def test_skip_fraction_out_of_range_is_data_error(self, command, budget, capsys):
+        argv = [command, "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
+                "--estimator", "td-star:inverse", "--max-skip-fraction", budget]
+        if command == "simulate":
+            argv += ["--reps", "200", "--seed", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: max_skip_fraction must lie in [0, 1]")
+
+    def test_full_skip_fraction_accepted(self, capsys):
+        argv = ["enumerate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
+                "--estimator", "td-star:inverse", "--max-skip-fraction", "1.0"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["pairs_skipped"] == 5
+
+    @pytest.mark.parametrize("command", ["moments", "efficiency", "simulate"])
+    @pytest.mark.parametrize("scale, name", [(1e200, "S2_x"), (1e-200, "mu_020")])
+    def test_float64_edge_is_data_error(self, six_frame, tmp_path, command, scale,
+                                        name, capsys):
+        path = tmp_path / "edge.csv"
+        columns = (six_frame.y, six_frame.x * scale, six_frame.z)
+        rows = zip(*(column.tolist() for column in columns))
+        path.write_text("y,x,z\n" + "".join(f"{y!r},{x!r},{z!r}\n" for y, x, z in rows))
+        argv = {
+            "moments": ["moments", str(path)],
+            "efficiency": ["efficiency", "--pop", str(path), "--n", "3", "--n1", "4"],
+            "simulate": ["simulate", "--pop", str(path), "--n", "3", "--n1", "4",
+                         "--estimator", "sample-r", "--reps", "10", "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {name}")

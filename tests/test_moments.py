@@ -107,6 +107,20 @@ class TestPopulationMoments:
         assert m.d(0, 4, 0) - m.d(0, 3, 0) ** 2 - 1.0 > 0.0
         assert m.d(0, 0, 4) - m.d(0, 0, 3) ** 2 - 1.0 > 0.0
 
+    @pytest.mark.parametrize(
+        "scale, error, name",
+        [
+            (1e200, InvalidParameter, "S2_x"),  # the squares overflow
+            (1e100, InvalidParameter, "d_040"),  # only the fourth powers do
+            (1e-100, InvalidParameter, "d_040"),  # sd_x**4 underflows to 0
+            (1e-200, DegenerateVariable, "mu_020"),  # the squares underflow
+        ],
+    )
+    def test_float64_edge_is_typed(self, six_frame, scale, error, name):
+        frame = frame_from(six_frame.y, six_frame.x * scale, six_frame.z)
+        with pytest.raises(error, match=name):
+            c2p.population_moments(frame)
+
 
 class TestParamsDocuments:
     def test_round_trip_is_lossless(self, six_frame):
@@ -153,6 +167,10 @@ class TestParamsDocuments:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(c2p.NonPositiveVariance):
             c2p.moments_from_params({"S2_x": 0.0})
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidParameter, match="finite"):
+            c2p.moments_from_params({"mean_y": 10**400})
 
     def test_missing_lookup_raises(self):
         m = c2p.moments_from_params({"rho_yx": 0.5})

@@ -170,6 +170,27 @@ class TestSimulation:
         with pytest.raises(InvalidParameter):
             c2p.simulate(six_frame, NESTED, "sample-r", **kwargs)
 
+    @pytest.mark.parametrize("budget", [math.nan, -0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("run", ["simulate", "enumerate"])
+    def test_skip_fraction_range(self, six_frame, run, budget):
+        with pytest.raises(InvalidParameter, match="max_skip_fraction"):
+            if run == "simulate":
+                c2p.simulate(six_frame, NESTED, "sample-r", reps=10, seed=1,
+                             max_skip_fraction=budget)
+            else:
+                c2p.enumerate_exact(six_frame, NESTED, "sample-r",
+                                    max_skip_fraction=budget)
+
+    def test_full_skip_fraction_accepted(self, six_frame):
+        # 5 of the 60 pairs break the inverse form's denominator
+        result = c2p.enumerate_exact(
+            six_frame, NESTED, "td-star:inverse", max_skip_fraction=1.0
+        )
+        assert result.pairs_skipped == 5
+        sim = c2p.simulate(six_frame, NESTED, "td-star:inverse", reps=200, seed=1,
+                           max_skip_fraction=1.0)
+        assert sim.reps_skipped > 0
+
     def test_reps_beyond_memory_is_typed(self, six_frame):
         with pytest.raises(TooManySamples, match="replications"):
             c2p.simulate(six_frame, NESTED, "sample-r", reps=10**18, seed=1)
