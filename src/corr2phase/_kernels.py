@@ -7,6 +7,12 @@ is O(n1) per replication and its cost does not grow with N.
 Floating-point statistics are exactly reproducible for the same index
 arrays.
 
+The statistics of a two-phase pair split by phase: first_phase_rows
+reads only the first-phase set, second_phase_rows only the second, and
+pair_rows joins them for index vectors (i1, i2). stats_rows pairs row t
+with row t; exact enumeration computes each distinct set once and
+pairs them by subset rank (subset_ranker).
+
 The optimum-weight closed form lives here too (optimum_weights), in
 plain arithmetic, so that the per-sample kernel and the scalar
 population path in analytics run the same code.
@@ -14,8 +20,10 @@ population path in analytics run the same code.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from operator import mul
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +44,9 @@ def resolve_backend(backend: None = None) -> str:
 COL_R, COL_U, COL_V, COL_W, COL_A = 0, 1, 2, 3, 4
 COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA = 5, 6, 7, 8
 NCOLS = 9
+
+# Width of a second_phase_rows row.
+SECOND_COLS = 7
 
 # Scratch of one replication through draw_rows and stats_rows, in 8-byte
 # elements per first-phase unit: a bound that holds for any n <= n1.
@@ -224,32 +235,53 @@ def _powers(f, f2):
     return ([], [f], [f2], [f2, f], [f2, f2])
 
 
-def stats_rows(
-    y: np.ndarray,
+def first_phase_rows(
     x: np.ndarray,
     z: np.ndarray,
     first: np.ndarray,
-    second: np.ndarray,
     aux_zbar: float,
     aux_sz2: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample statistics rows for a batch of index draws.
+    """First-phase statistics of a batch of index rows.
 
-    Returns (rows, flags). rows[t] holds [r, u, v, w, a, alpha, beta,
-    gamma, delta] for draw t, NaN where undefined; flags[t] is 0 or one
-    of FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Rows flagged
-    SINGULAR still carry valid r, u, v, w, a.
+    Returns (rows, flags). rows[t] holds [mean_x1, s2_x1, w, a] for
+    first-phase set t, where w and a compare the first-phase mean and
+    variance of z with the known ones; flags[t] is FLAG_DEGENERATE when
+    x or z is constant over the set, else 0.
     """
-    y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
+    x, z = (np.asarray(arr, dtype=np.float64) for arr in (x, z))
     n1 = first.shape[1]
-    n = second.shape[1]
     x1 = x[first]
     z1 = z[first]
     xbar1 = x1.mean(axis=1)
     zbar1 = z1.mean(axis=1)
     vx1 = ((x1 - xbar1[:, None]) ** 2).sum(axis=1)
     vz1 = ((z1 - zbar1[:, None]) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sx2_1 = vx1 / (n1 - 1.0)
+        sz2_1 = vz1 / (n1 - 1.0)
+        rows = np.column_stack((xbar1, sx2_1, zbar1 / aux_zbar, sz2_1 / aux_sz2))
+    flags = np.zeros(first.shape[0], np.uint8)
+    flags[(vx1 <= 0.0) | (vz1 <= 0.0)] = FLAG_DEGENERATE
+    return rows, flags
 
+
+def second_phase_rows(
+    y: np.ndarray,
+    x: np.ndarray,
+    z: np.ndarray,
+    second: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Second-phase statistics of a batch of index rows.
+
+    Returns (rows, flags). rows[t] holds [r, mean_x, s2_x, alpha, beta,
+    gamma, delta] for second-phase set t: the sample correlation, the
+    mean and variance of x, and the plug-in optimum weights. flags[t] is
+    FLAG_DEGENERATE when y, x or z is constant over the set, else
+    FLAG_SINGULAR when the plug-in weights cannot be formed, else 0.
+    """
+    y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
+    n = second.shape[1]
     ys = y[second]
     xs = x[second]
     zs = z[second]
@@ -267,32 +299,12 @@ def stats_rows(
     m002 = dz2.sum(axis=1)
     m110 = (dy * dx).sum(axis=1)
 
-    degenerate = (
-        (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0) | (vx1 <= 0.0) | (vz1 <= 0.0)
-    )
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sy2 = m200 / (n - 1.0)
         sx2 = m020 / (n - 1.0)
         sz2 = m002 / (n - 1.0)
         syx = m110 / (n - 1.0)
-        sx2_1 = vx1 / (n1 - 1.0)
-        sz2_1 = vz1 / (n1 - 1.0)
-
         r = syx / np.sqrt(sy2 * sx2)
-        u = xbar / xbar1
-        v = sx2 / sx2_1
-        w = zbar1 / aux_zbar
-        a = sz2_1 / aux_sz2
-
-        core_bad = ~(
-            np.isfinite(r)
-            & np.isfinite(u)
-            & np.isfinite(v)
-            & np.isfinite(w)
-            & np.isfinite(a)
-        )
-        nonfinite = core_bad & ~degenerate
 
         # d_pqm = mean(dy^p dx^q dz^m) / (sdy^p sdx^q sdz^m); _powers fixes
         # the order of the factors, and with it the rounding of every row
@@ -314,24 +326,102 @@ def stats_rows(
             span_x,
             span_z,
         )
-        out = np.column_stack((r, u, v, w, a) + weights)
+        rows = np.column_stack((r, xbar, sx2) + weights)
         singular = (
             (xbar == 0.0)
             | (zbar == 0.0)
             | (np.abs(r) < ZERO_R_TOL)
             | singular_x
             | singular_z
-            | ~np.isfinite(out[:, COL_ALPHA:]).all(axis=1)
+            | ~np.isfinite(rows[:, 3:]).all(axis=1)
         )
-    singular &= ~(degenerate | nonfinite)
+    flags = np.zeros(second.shape[0], np.uint8)
+    flags[singular] = FLAG_SINGULAR
+    flags[(m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)] = FLAG_DEGENERATE
+    return rows, flags
+
+
+def pair_rows(first_stats, second_stats, i1, i2) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics rows of the two-phase pairs (first set i1, second set i2).
+
+    first_stats and second_stats are the (rows, flags) results of
+    first_phase_rows and second_phase_rows; i1 and i2 are equal-length
+    index arrays into them. Returns (rows, flags) in the stats_rows
+    layout.
+    """
+    f = first_stats[0].take(i1, axis=0)
+    s = second_stats[0].take(i2, axis=0)
+    second_flags = second_stats[1].take(i2)
+    degenerate = ((first_stats[1].take(i1) | second_flags) & FLAG_DEGENERATE) != 0
+    out = np.empty((f.shape[0], NCOLS))
+    out[:, COL_R] = s[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(s[:, 1], f[:, 0], out=out[:, COL_U])
+        np.divide(s[:, 2], f[:, 1], out=out[:, COL_V])
+    out[:, COL_W : COL_A + 1] = f[:, 2:]
+    out[:, COL_ALPHA:] = s[:, 3:]
+    finite = reduce(np.logical_and, (np.isfinite(out[:, c]) for c in range(COL_A + 1)))
+    nonfinite = ~finite & ~degenerate
+    singular = (second_flags == FLAG_SINGULAR) & ~(degenerate | nonfinite)
     out[degenerate | nonfinite, :] = np.nan
     out[singular, COL_ALPHA:] = np.nan
 
-    flags = np.zeros(first.shape[0], np.uint8)
+    flags = np.zeros(out.shape[0], np.uint8)
     flags[degenerate] = FLAG_DEGENERATE
     flags[nonfinite] = FLAG_NONFINITE
     flags[singular] = FLAG_SINGULAR
     return out, flags
+
+
+def stats_rows(
+    y: np.ndarray,
+    x: np.ndarray,
+    z: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    aux_zbar: float,
+    aux_sz2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample statistics rows for a batch of index draws.
+
+    Returns (rows, flags). rows[t] holds [r, u, v, w, a, alpha, beta,
+    gamma, delta] for draw t, NaN where undefined; flags[t] is 0 or one
+    of FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Rows flagged
+    SINGULAR still carry valid r, u, v, w, a. Draw t pairs first[t] with
+    second[t]: the two phase passes, then pair_rows row by row.
+    """
+    rows = np.arange(first.shape[0])
+    return pair_rows(
+        first_phase_rows(x, z, first, aux_zbar, aux_sz2),
+        second_phase_rows(y, x, z, second),
+        rows,
+        rows,
+    )
+
+
+def subset_ranker(N: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Rank function of sorted n-subsets of range(N).
+
+    The returned function maps index rows (any leading shape, last axis
+    n, ascending) to their positions in itertools.combinations(range(N),
+    n). The lexicographic rank of c_0 < ... < c_{n-1} is
+    C(N, n) - 1 - sum_i C(N-1-c_i, n-i); since c_i - i lies in [0, N-n],
+    the table holds only those terms, each at most C(N-1, n), so int64
+    suffices whenever C(N, n) does.
+    """
+    table = np.array(
+        [[math.comb(N - 1 - i - e, n - i) for e in range(N - n + 1)] for i in range(n)],
+        dtype=np.int64,
+    )
+    top = math.comb(N, n) - 1
+
+    def rank(sets: np.ndarray) -> np.ndarray:
+        out = np.full(sets.shape[:-1], top, np.int64)
+        for i in range(n):
+            out -= table[i].take(sets[..., i] - i)
+        return out
+
+    return rank
 
 
 def chunk_rows(width: int, cap: int = 16384) -> int:
@@ -340,6 +430,7 @@ def chunk_rows(width: int, cap: int = 16384) -> int:
     width is the scratch one replication needs, in 8-byte elements; a
     call then holds about 4e6 of them (32 MB), and at most cap rows.
     simulate passes SCRATCH_PER_N1 * n1, the draw and the stats kernel
-    together; enumerate_exact passes N.
+    together; enumerate_exact passes SCRATCH_PER_N1 * n for its
+    second-phase sets and N for its blocks of pairs.
     """
     return max(1, min(cap, 4_000_000 // max(width, 1)))

@@ -28,7 +28,7 @@ from .errors import (
     SingularDenominator,
     ZeroCorrelation,
 )
-from .moments import MomentSet
+from .moments import MomentSet, check_float_size
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ class VarianceReport:
 def _check_sizes(n: int, n1: int) -> None:
     if not (2 <= n <= n1):
         raise InvalidDesign(f"need 2 <= n <= n1, got n={n}, n1={n1}")
+    check_float_size("n1", n1)
 
 
 def _span_or_raise(kurt: float, skew: float, axis: str) -> float:
@@ -133,6 +134,7 @@ def var_r(m: MomentSet, n: int) -> float:
     """
     if n < 2:
         raise InvalidDesign(f"need n >= 2, got n={n}")
+    check_float_size("n", n)
     rho = m.require("rho_yx")
     quartic = m.d(0, 4, 0) + m.d(4, 0, 0) + 2.0 * m.d(2, 2, 0)
     cubic = m.d(1, 3, 0) + m.d(3, 1, 0)

@@ -173,6 +173,19 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def check_float_size(name: str, size: int) -> None:
+    """InvalidParameter when an integer size does not convert to a float.
+
+    Sample sizes enter the theory as 1/n and 1/n1.
+    """
+    try:
+        float(size)
+    except OverflowError:
+        raise InvalidParameter(
+            f"{name} has {len(str(size))} digits, beyond float64's range"
+        ) from None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def population_moments(frame: PopulationFrame) -> MomentSet:
     """Compute the exact moment table of a full population.
@@ -347,6 +360,7 @@ def moments_from_params(
                 raise InvalidParameter(f"{key} must be an integer")
             if value < 2:
                 raise InvalidParameter(f"{key} must be at least 2")
+            check_float_size(key, value)
             if key == "N":
                 N = value
 

@@ -10,6 +10,10 @@ simulate() sizes its chunks by n1, because the draw and the statistics
 kernel need O(n1) scratch per replication; its cost per replication
 does not grow with the population size N.
 
+enumerate_exact() computes the statistics of each distinct phase once:
+C(N, n1) first-phase sets and C(N, n) second-phase sets, then one
+gather per pair of the C(N, n1) * C(n1, n) pairs.
+
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
 every replication is skipped or if the skipped fraction exceeds
@@ -149,19 +153,26 @@ def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
     with np.errstate(over="ignore"):
         mean = _sum(kept) / k
         err = kept - rho
+        mse = _sum(err * err) / k
+    return k, total - k, reasons, mean, mse
+
+
+def _standard_errors(kept: np.ndarray, rho: float, mean: float, mse: float):
+    """Monte Carlo standard errors of the mean and of the MSE of kept values.
+
+    Both are NaN when fewer than two values were kept.
+    """
+    k = kept.shape[0]
+    if k < 2:
+        return float("nan"), float("nan")
+    with np.errstate(over="ignore"):
+        err = kept - rho
         qs = err * err
-        mse = _sum(qs) / k
-        if k >= 2:
-            ss_v = _sum(kept * kept)
-            var_v = max((ss_v - k * mean * mean) / (k - 1), 0.0)
-            se_mean = math.sqrt(var_v / k)
-            ss_q = _sum(qs * qs)
-            var_q = max((ss_q - k * mse * mse) / (k - 1), 0.0)
-            se_mse = math.sqrt(var_q / k)
-        else:
-            se_mean = float("nan")
-            se_mse = float("nan")
-    return k, total - k, reasons, mean, mse, se_mean, se_mse
+        ss_v = _sum(kept * kept)
+        var_v = max((ss_v - k * mean * mean) / (k - 1), 0.0)
+        ss_q = _sum(qs * qs)
+        var_q = max((ss_q - k * mse * mse) / (k - 1), 0.0)
+    return math.sqrt(var_v / k), math.sqrt(var_q / k)
 
 
 def _check_skip_fraction(budget: float) -> None:
@@ -238,9 +249,8 @@ def simulate(
             list(pool.map(fill, spans))
 
     values, codes = evaluate_rows(spec, rows, flags)
-    k, skipped, reasons, mean, mse, se_mean, se_mse = _aggregate(
-        values, codes, m.rho_yx
-    )
+    k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
+    se_mean, se_mse = _standard_errors(values[codes == SKIP_OK], m.rho_yx, mean, mse)
     _check_skip_budget(skipped, reps, reasons, max_skip_fraction)
     return SimulationResult(
         design=design,
@@ -274,6 +284,13 @@ def enumerate_exact(
     pairs is the exact design expectation, and the averaged squared
     error the exact design MSE, conditional on the skip policy that the
     simulation also applies.
+
+    Phase-one statistics depend only on the first-phase set, and r, the
+    second-phase moments and the plug-in weights only on the second.
+    So each of the C(N, n1) first-phase sets and each of the C(N, n)
+    n-subsets of the population is computed once, and each pair
+    gathers its two rows, the second found by its subset rank. The
+    result equals stats_rows over every pair's index rows in C order.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -297,22 +314,38 @@ def enumerate_exact(
         list(itertools.combinations(range(design.n1), design.n)), dtype=np.int64
     ).reshape(k2, design.n)
 
+    # every second-phase set is an n-subset of range(N): compute each
+    # one's statistics once, in itertools order, and find them by rank
+    k_sets = math.comb(design.N, design.n)
+    second_rows = np.empty((k_sets, _kernels.SECOND_COLS))
+    second_flags = np.empty(k_sets, np.uint8)
+    subsets = itertools.combinations(range(design.N), design.n)
+    step = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n)
+    for lo in range(0, k_sets, step):
+        sets = np.array(list(itertools.islice(subsets, step)), dtype=np.int64)
+        hi = lo + sets.shape[0]
+        second_rows[lo:hi], second_flags[lo:hi] = _kernels.second_phase_rows(
+            frame.y, frame.x, frame.z, sets
+        )
+    rank = _kernels.subset_ranker(design.N, design.n)
+
     values = np.empty(total)
     codes = np.empty(total, np.uint8)
     block = max(1, _kernels.chunk_rows(design.N, cap=65536) // k2)
     for i in range(0, k1, block):
         fblock = first_all[i : i + block]
         b = fblock.shape[0]
-        first = np.repeat(fblock, k2, axis=0)
-        second = fblock[:, patterns].reshape(b * k2, design.n)
-        rows, flags = _kernels.stats_rows(
-            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2
+        rows, flags = _kernels.pair_rows(
+            _kernels.first_phase_rows(frame.x, frame.z, fblock, aux.zbar, aux.sz2),
+            (second_rows, second_flags),
+            np.repeat(np.arange(b), k2),
+            rank(fblock[:, patterns]).reshape(b * k2),
         )
         vals, cds = evaluate_rows(spec, rows, flags)
         values[i * k2 : i * k2 + b * k2] = vals
         codes[i * k2 : i * k2 + b * k2] = cds
 
-    k, skipped, reasons, mean, mse, _, _ = _aggregate(values, codes, m.rho_yx)
+    k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
     _check_skip_budget(skipped, total, reasons, max_skip_fraction)
     return EnumerationResult(
         design=design,

@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveVariance,
     SingularDenominator,
 )
-from .moments import PopulationFrame
+from .moments import PopulationFrame, _finite, delta_name
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,7 @@ def draw_two_phase(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_statistics(
     frame: PopulationFrame,
     sample: TwoPhaseSample,
@@ -174,6 +175,9 @@ def sample_statistics(
 
     Raises DegenerateSample when any variance that the ratios divide by
     is zero: y, x, z within the second phase, or x, z within the first.
+    Data at the edge of float64 fails with InvalidParameter naming the
+    first variance or d_pqm that is not finite, as population_moments
+    does.
     """
     if sample.design.N != frame.N:
         raise InvalidDesign("sample and population disagree on N")
@@ -185,6 +189,8 @@ def sample_statistics(
     zbar1 = float(np.mean(z1))
     s2_x_first = float(np.sum((x1 - xbar1) ** 2) / (n1 - 1))
     s2_z_first = float(np.sum((z1 - zbar1) ** 2) / (n1 - 1))
+    _finite("sample s2_x_first", s2_x_first)
+    _finite("sample s2_z_first", s2_z_first)
 
     ys = frame.y[sample.second_phase]
     xs = frame.x[sample.second_phase]
@@ -204,9 +210,9 @@ def sample_statistics(
             "first-phase mean of x is zero; the mean ratio is undefined"
         )
 
-    s2_y = m200 / (n - 1)
-    s2_x = m020 / (n - 1)
-    s2_z = m002 / (n - 1)
+    s2_y = _finite("sample s2_y", m200 / (n - 1))
+    s2_x = _finite("sample s2_x", m020 / (n - 1))
+    s2_z = _finite("sample s2_z", m002 / (n - 1))
     s_yx = float(np.sum(dy * dx)) / (n - 1)
     r = s_yx / math.sqrt(s2_y * s2_x)
 
@@ -220,7 +226,11 @@ def sample_statistics(
     }
     for p, q, m in _kernels.WEIGHT_TRIPLES:
         mu_hat = float(np.sum(dy**p * dx**q * dz**m)) / n
-        delta_hat[(p, q, m)] = mu_hat / (sdy**p * sdx**q * sdz**m)
+        try:
+            value = mu_hat / (sdy**p * sdx**q * sdz**m)
+        except (OverflowError, ZeroDivisionError):  # the scale left float64's range
+            value = math.nan
+        delta_hat[(p, q, m)] = _finite(f"sample {delta_name((p, q, m))}", value)
 
     return SampleStatistics(
         n=n,

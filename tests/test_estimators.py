@@ -61,8 +61,8 @@ def spec_for(kind, fill=0.25):
 def with_unit_ratios(stats):
     """Statistics forced onto the no-adjustment point.
 
-    The literal chain form reads the compared quantities themselves, so
-    those must be made consistent with the unit ratios.
+    The first-phase means and variances are set to the values those
+    unit ratios imply, so the bundle stays self-consistent.
     """
     return dataclasses.replace(
         stats,

@@ -514,3 +514,27 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {name}")
+
+    @pytest.mark.parametrize(
+        "scale, name",
+        [(1e100, "sample d_040"), (1e-100, "sample d_040"), (1e200, "sample s2_x_first")],
+    )
+    def test_float64_edge_estimate_is_data_error(self, six_frame, tmp_path, scale,
+                                                 name, capsys):
+        path = tmp_path / "edge.csv"
+        columns = (six_frame.y, six_frame.x * scale, six_frame.z)
+        rows = zip(*(column.tolist() for column in columns))
+        path.write_text("y,x,z\n" + "".join(f"{y!r},{x!r},{z!r}\n" for y, x, z in rows))
+        argv = ["estimate", "--pop", str(path), "--n", "3", "--n1", "4", "--seed", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {name} is not finite")
+
+    def test_design_size_beyond_float64_is_data_error(self, capsys):
+        argv = ["efficiency", "--params", "fixtures/murthy67.json",
+                "--delta310-from-delta300", "--n", str(10**400), "--n1", str(10**401)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: n has 401 digits, beyond float64's range")

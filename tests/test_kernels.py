@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,18 @@ class TestStatsRows:
         assert flags[0] == K.FLAG_SINGULAR
         assert np.all(np.isfinite(rows[0, : K.COL_A + 1]))
         assert np.isnan(rows[0, K.COL_ALPHA])
+
+
+class TestSubsetRanker:
+    @pytest.mark.parametrize("N, n", [(6, 3), (14, 6), (12, 12), (9, 1), (70, 68)])
+    def test_ranks_follow_itertools_order(self, N, n):
+        sets = np.array(list(itertools.combinations(range(N), n)))
+        assert np.array_equal(K.subset_ranker(N, n)(sets), np.arange(len(sets)))
+
+    def test_leading_axes_are_kept(self):
+        sets = np.array(list(itertools.combinations(range(8), 3)))
+        ranks = K.subset_ranker(8, 3)(sets.reshape(4, 14, 3))
+        assert np.array_equal(ranks, np.arange(56).reshape(4, 14))
 
 
 class TestBackendPlumbing:

@@ -172,6 +172,11 @@ class TestParamsDocuments:
         with pytest.raises(InvalidParameter, match="finite"):
             c2p.moments_from_params({"mean_y": 10**400})
 
+    @pytest.mark.parametrize("key", ["N", "n", "n1"])
+    def test_size_beyond_float_range_rejected(self, key):
+        with pytest.raises(InvalidParameter, match=f"{key} has 401 digits"):
+            c2p.moments_from_params({key: 10**400})
+
     def test_missing_lookup_raises(self):
         m = c2p.moments_from_params({"rho_yx": 0.5})
         with pytest.raises(MissingParameter):

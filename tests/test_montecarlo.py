@@ -1,18 +1,27 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import corr2phase as c2p
+from corr2phase import _kernels
 from corr2phase.errors import (
     AllSamplesDegenerate,
+    Corr2PhaseError,
     ExcessiveSkips,
     InvalidDesign,
     InvalidParameter,
     NonFiniteEstimate,
     TooManySamples,
 )
-from corr2phase.montecarlo import _aggregate, analytic_variance_for
+from corr2phase.estimators import ESTIMATOR_KINDS, SKIP_LABELS, evaluate_rows
+from corr2phase.montecarlo import (
+    EnumerationResult,
+    _aggregate,
+    _check_skip_budget,
+    analytic_variance_for,
+)
 
 # Frozen values from the exact-rational enumeration oracle for the
 # six-unit population under the N=6, n1=4, n=3 design (60 pairs).
@@ -80,6 +89,118 @@ class TestEnumeration:
         )
         with pytest.raises(ExcessiveSkips):
             c2p.enumerate_exact(ties, NESTED, "sample-r")
+
+
+# Small integer frame with ties and a mean-zero x: across the estimator
+# kinds, its (8, 5, 3) pairs hit every skip reason and every kernel flag.
+TIES = c2p.PopulationFrame(
+    y=np.array([2.0, 3, 2, 1, 3, 3, 3, 1]),
+    x=np.array([-2.0, 3, -2, 1, -2, -1, 1, 1]),
+    z=np.array([2.0, 1, 1, 1, 1, 3, 2, 2]),
+)
+
+DIFFERENTIAL_DESIGNS = [
+    ("six", c2p.DesignSpec(6, 4, 3)),
+    ("random", c2p.DesignSpec(9, 7, 2)),
+    ("random", c2p.DesignSpec(12, 6, 6)),  # n == n1
+    ("random", c2p.DesignSpec(9, 8, 8)),  # n == n1, rows summed pairwise
+    ("random", c2p.DesignSpec(10, 10, 4)),  # n1 == N
+    # C(69, 34) ~ 1.1e20 overflows a naive int64 binomial table
+    ("random", c2p.DesignSpec(70, 69, 68)),
+    ("ties", c2p.DesignSpec(8, 5, 3)),
+]
+
+
+# One label per estimator kind.
+LABELS = [
+    "sample-r",
+    "chain-ratio",
+    "gen-power:0.3,-0.2,0.1,0.05",
+    "h-linear:0.5,-0.1",
+    "h-power:0.5,-0.1",
+    "t-linear:0.3,-0.2,0.1,0.05",
+    "t-power:0.3,-0.2,0.1,0.05",
+    "difference:0.3,-0.2,0.1,0.05",
+    "td-star:power",
+    "td-star:ratio",
+    "td-star:linear",
+    "td-star:inverse",
+]
+
+
+def _pair_statistics(frame, design):
+    """stats_rows over every (first, second) pair, spelled out pair by pair."""
+    N, n1, n = design.N, design.n1, design.n
+    first_all = np.array(list(itertools.combinations(range(N), n1)))
+    patterns = np.array(list(itertools.combinations(range(n1), n)))
+    first = np.repeat(first_all, len(patterns), axis=0)
+    # C order, as the kernel's index rows in enumerate_exact: numpy sums a
+    # row of 8 or more values pairwise along C rows, in another order
+    # along the F-ordered view this reshape returns when C(n1, n) == 1
+    second = np.ascontiguousarray(first_all[:, patterns].reshape(-1, n))
+    aux = c2p.KnownAux.from_frame(frame)
+    return _kernels.stats_rows(frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2)
+
+
+def _enumerate_per_pair(frame, design, estimator, max_skip_fraction):
+    spec = c2p.parse_estimator(estimator)
+    rho = c2p.population_moments(frame).rho_yx
+    values, codes = evaluate_rows(spec, *_pair_statistics(frame, design))
+    k, skipped, reasons, mean, mse = _aggregate(values, codes, rho)
+    _check_skip_budget(skipped, values.shape[0], reasons, max_skip_fraction)
+    return EnumerationResult(
+        design=design,
+        estimator=spec.label(),
+        rho_yx=rho,
+        pairs_total=values.shape[0],
+        pairs_used=k,
+        pairs_skipped=skipped,
+        skip_reasons=reasons,
+        mean_estimate=mean,
+        bias=mean - rho,
+        exact_mse=mse,
+    )
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except Corr2PhaseError as exc:
+        return type(exc)
+
+
+class TestEnumerationMatchesPerPair:
+    """enumerate_exact pairs per-subset statistics by rank; the reference
+    computes every pair's statistics from its explicit index rows."""
+
+    def test_labels_cover_every_kind(self):
+        assert sorted(c2p.parse_estimator(label).kind for label in LABELS) == sorted(
+            ESTIMATOR_KINDS
+        )
+
+    @pytest.mark.parametrize("population, design", DIFFERENTIAL_DESIGNS)
+    @pytest.mark.parametrize("budget", [0.01, 1.0])
+    def test_every_kind(self, population, design, budget, six_frame):
+        frame = {"six": six_frame, "ties": TIES}.get(population)
+        if frame is None:
+            frame = c2p.random_population(design.N, seed=design.N)
+        for label in LABELS:
+            expect = _outcome(_enumerate_per_pair, frame, design, label, budget)
+            got = _outcome(c2p.enumerate_exact, frame, design, label, 4_000_000, budget)
+            assert got == expect, label
+
+    def test_tie_frame_raises_every_skip(self):
+        _, flags = _pair_statistics(TIES, c2p.DesignSpec(8, 5, 3))
+        assert set(np.unique(flags)) == {
+            0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
+        }
+        seen = set()
+        for label in LABELS:
+            result = c2p.enumerate_exact(
+                TIES, c2p.DesignSpec(8, 5, 3), label, max_skip_fraction=1.0
+            )
+            seen |= set(result.skip_reasons)
+        assert seen == set(SKIP_LABELS.values())
 
 
 class TestSimulation:
