@@ -137,6 +137,18 @@ def optimum_weights(d, c_x, c_z, r, span_x, span_z):
     return (slope_mean_x, slope_var_x, slope_mean_z, slope_var_z), weights
 
 
+def _sorted_rows(pool: np.ndarray) -> np.ndarray:
+    """The columns of pool as sorted rows of a C-ordered array.
+
+    C order makes numpy sum every row of a gather such as x[first] in
+    the same (pairwise) order, whatever the number of rows, so a
+    replication's statistics do not depend on the chunk it falls in.
+    """
+    rows = pool.T.copy()
+    rows.sort(axis=1)
+    return rows
+
+
 def draw_rows(
     N: int,
     n1: int,
@@ -147,8 +159,8 @@ def draw_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `reps` two-phase index samples, replications rep_lo onward.
 
-    Returns (first, second): sorted int64 index arrays of shape
-    (reps, n1) and (reps, n), second[t] a subset of first[t].
+    Returns (first, second): sorted, C-ordered int64 index arrays of
+    shape (reps, n1) and (reps, n), second[t] a subset of first[t].
     Replication t depends only on (seed, rep_lo + t), never on reps or
     chunking, which is what makes parallel simulation order-free. The
     seed must lie in [0, 2**64) and the last replication index,
@@ -221,13 +233,13 @@ def draw_rows(
         held = pool[j].copy()
         pool[j] = flat[at]
         flat[at] = held
-    first = np.sort(pool[:n1].T, axis=1)
+    first = _sorted_rows(pool[:n1])
     for j in range(n):
         at = k[n1 + j]
         held = pool[j].copy()
         pool[j] = flat[at]
         flat[at] = held
-    return first, np.sort(pool[:n].T, axis=1)
+    return first, _sorted_rows(pool[:n])
 
 
 def _powers(f, f2):

@@ -13,6 +13,8 @@ import csv
 import json
 import math
 import os
+import stat
+import warnings
 from dataclasses import asdict
 from typing import Mapping
 
@@ -31,11 +33,78 @@ def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def load_population_csv(path: str | os.PathLike) -> PopulationFrame:
-    """Read a population file, reporting the line of the first problem.
+# ASCII file, group, record and unit separators: np.loadtxt strips them
+# from a field as whitespace, float() rejects them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
-    Text that is not UTF-8 and fields longer than the csv module's
-    limit are ParseErrors like any other malformed content.
+
+def _has_separators(fh) -> bool:
+    while block := fh.read(1 << 16):
+        if any(ch in block for ch in _SEPARATORS):
+            return True
+    return False
+
+
+def _short_lines(fh, limit: int):
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field limit")
+        yield line
+
+
+def _regular_file(path: str | os.PathLike) -> bool:
+    # a pipe or a device may not give its text a second time, so only a
+    # regular file may be read by both parsers
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):
+        return False
+
+
+def _parse_vectorized(path: str | os.PathLike) -> tuple[np.ndarray, ...] | None:
+    """The y, x and z columns of a plain population file, or None.
+
+    One np.loadtxt pass over the lines after the header. It returns None,
+    so that _parse_by_line decides, whenever the file may need anything
+    beyond unquoted comma-separated numbers: a header other than y,x,z
+    (a quoted one included), an ASCII separator character anywhere, a
+    line longer than the csv field limit, text that is not UTF-8, a
+    field numpy cannot read (quotes, underscores, non-ASCII digits, an
+    empty or whitespace-only field), no data rows (loadtxt warns) or
+    rows that are not three wide. What it does accept, _parse_by_line
+    reads to the same float64 values.
+    """
+    limit = csv.field_size_limit()
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            if _has_separators(fh):
+                return None
+            fh.seek(0)
+            header = fh.readline()
+            if len(header) > limit or [
+                h.strip() for h in header.split(",")
+            ] != ["y", "x", "z"]:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    _short_lines(fh, limit),
+                    delimiter=",",
+                    comments=None,
+                    dtype=np.float64,
+                    ndmin=2,
+                )
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    return tuple(table.T) if table.shape[1] == 3 else None
+
+
+def _parse_by_line(path: str | os.PathLike) -> tuple[np.ndarray, ...]:
+    """The y, x and z columns of a population file, read line by line.
+
+    This reader defines the accepted format and reports the line of the
+    first problem. Text that is not UTF-8 and fields longer than the csv
+    module's limit are ParseErrors like any other malformed content.
     """
     ys: list[float] = []
     xs: list[float] = []
@@ -72,9 +141,31 @@ def load_population_csv(path: str | os.PathLike) -> PopulationFrame:
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return PopulationFrame(
-        y=np.asarray(ys), x=np.asarray(xs), z=np.asarray(zs)
-    )
+    return np.asarray(ys), np.asarray(xs), np.asarray(zs)
+
+
+def load_population_csv(path: str | os.PathLike) -> PopulationFrame:
+    """Read a population file, reporting the line of the first problem.
+
+    The file is a header `y,x,z` (spaces around the names allowed), then
+    one row of three comma-separated numbers per unit, as the csv module
+    splits it and float() reads each field. Blank and whitespace-only
+    lines are skipped; LF, CRLF and lone CR all end a line; a quoted
+    field is read without its quotes. Text that is not UTF-8 and fields
+    longer than csv.field_size_limit() are ParseErrors like any other
+    malformed content.
+
+    A plain file is parsed in one vectorized pass. Anything that pass
+    cannot read with certainty (quotes, underscores or non-ASCII digits
+    in numbers, whitespace-only lines, errors of any kind) goes to the
+    line-by-line reader, which yields the same values or the located
+    error.
+    """
+    columns = _parse_vectorized(path) if _regular_file(path) else None
+    if columns is None:
+        columns = _parse_by_line(path)
+    y, x, z = columns
+    return PopulationFrame(y=y, x=x, z=z)
 
 
 def load_params_json(path: str | os.PathLike) -> dict:

@@ -160,18 +160,24 @@ def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
 def _standard_errors(kept: np.ndarray, rho: float, mean: float, mse: float):
     """Monte Carlo standard errors of the mean and of the MSE of kept values.
 
+    Each variance takes a second exact pass around its mean, with the
+    correction term of Chan, Golub & LeVeque (1983) for the rounding of
+    that mean, so it does not cancel when the values barely spread.
     Both are NaN when fewer than two values were kept.
     """
     k = kept.shape[0]
     if k < 2:
         return float("nan"), float("nan")
+
+    def variance(values: np.ndarray, centre: float) -> float:
+        dev = values - centre
+        drift = _sum(dev)
+        return max((_sum(dev * dev) - drift * (drift / k)) / (k - 1), 0.0)
+
     with np.errstate(over="ignore"):
         err = kept - rho
-        qs = err * err
-        ss_v = _sum(kept * kept)
-        var_v = max((ss_v - k * mean * mean) / (k - 1), 0.0)
-        ss_q = _sum(qs * qs)
-        var_q = max((ss_q - k * mse * mse) / (k - 1), 0.0)
+        var_v = variance(kept, mean)
+        var_q = variance(err * err, mse)
     return math.sqrt(var_v / k), math.sqrt(var_q / k)
 
 

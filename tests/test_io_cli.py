@@ -1,6 +1,8 @@
 import contextlib
 import json
 import math
+import os
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -85,6 +87,148 @@ class TestPopulationCsv:
         path.write_text("y,x,z\n1,2,1\n" + "1" * 131073 + ",2,3\n")
         with pytest.raises(ParseError, match="wide.csv:3: field larger"):
             io.load_population_csv(path)
+
+
+# Characters (and words) the differential test builds CSV text from:
+# every separator, line end, whitespace, quote, sign, exponent and digit
+# spelling on which np.loadtxt and csv + float() might disagree.
+CSV_ALPHABET = list(
+    "0123456789,\n\r \t\x0b\x0c\x1c\u2028\xa0\"_.e+-#\u0661\x00"
+) + ["nan", "inf"]
+CSV_NOISE = st.lists(st.sampled_from(CSV_ALPHABET), max_size=12).map("".join)
+CSV_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+CSV_ROW = st.builds(
+    lambda fields, end: ",".join(fields) + end,
+    st.lists(CSV_NUMBER, min_size=3, max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+CSV_HEADER = st.sampled_from(["y,x,z\n", " y , x ,z\r\n", "y,x,z\r", '"y",x,z\n', "y,x\n"])
+
+
+def insert_noise(header, rows, edits):
+    """A population file with noise from CSV_ALPHABET spliced in."""
+    text = header + "".join(rows)
+    for at, noise in edits:
+        at %= len(text) + 1
+        text = text[:at] + noise + text[at:]
+    return text
+
+
+CSV_TEXT = st.one_of(
+    st.builds(
+        insert_noise,
+        CSV_HEADER,
+        st.lists(CSV_ROW, max_size=8),
+        st.lists(st.tuples(st.integers(0, 10**6), CSV_NOISE), max_size=3),
+    ),
+    st.builds(lambda header, noise: header + noise, CSV_HEADER, CSV_NOISE),
+)
+
+
+def load_outcome(load, path):
+    """What a loader returns, as comparable values, or what it raises."""
+    try:
+        frame = load(path)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return [(np.signbit(col).tolist(), col.tolist()) for col in (frame.y, frame.x, frame.z)]
+
+
+def load_by_line(path):
+    """load_population_csv as defined by the line-by-line reader alone."""
+    y, x, z = io._parse_by_line(path)
+    return c2p.PopulationFrame(y=y, x=x, z=z)
+
+
+class TestVectorizedParse:
+    """The vectorized pass agrees with the line-by-line reader, its specification."""
+
+    @given(text=CSV_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_line_reader(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = io._parse_vectorized(path)
+        if fast is not None:
+            spec = io._parse_by_line(path)
+            for got, want in zip(fast, spec):
+                assert got.dtype == want.dtype == np.float64
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
+
+    @pytest.mark.parametrize(
+        "name, text, vectorized",
+        [
+            ("crlf", "y,x,z\r\n1,2,1\r\n2,1,3\r\n3,4,2\r\n4,3,5\r\n", True),
+            ("lone_cr", "y,x,z\r1,2,1\r2,1,3\r3,4,2\r4,3,5\r", True),
+            ("quoted", 'y,x,z\n"1",2,1\n2,"1",3\n3,4,2\n4,3,"5"\n', False),
+            ("whitespace_line", "y,x,z\n1,2,1\n \n2,1,3\n3,4,2\n4,3,5\n", False),
+        ],
+    )
+    def test_line_ends_and_quotes(self, tmp_path, name, text, vectorized):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (io._parse_vectorized(path) is not None) == vectorized
+        frame = io.load_population_csv(path)
+        assert frame.y.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert frame.x.tolist() == [2.0, 1.0, 4.0, 3.0]
+        assert frame.z.tolist() == [1.0, 3.0, 2.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "name, text, error, message",
+        [
+            ("header_only", "y,x,z\n", c2p.InvalidParameter, "at least 4 units, got 0"),
+            # float() does not strip ASCII separators; np.loadtxt would
+            ("separator", "y,x,z\n1\x1c,2,1\n2,1,3\n3,4,2\n4,3,5\n", ParseError,
+             "separator.csv:2: non-numeric value"),
+            ("long_header", "y" + " " * 131073 + ",x,z\n1,2,1\n2,1,3\n3,4,2\n4,3,5\n",
+             ParseError, "long_header.csv:1: field larger than field limit"),
+        ],
+    )
+    def test_declined_files_fail_as_before(self, tmp_path, name, text, error, message):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert io._parse_vectorized(path) is None
+            with pytest.raises(error, match=message):
+                io.load_population_csv(path)
+        assert caught == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self, six_csv_path, six_frame):
+        read_end, write_end = os.pipe()
+        try:
+            with open(six_csv_path, "rb") as src:
+                os.write(write_end, src.read())
+            os.close(write_end)
+            frame = io.load_population_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(frame.y, six_frame.y)
+        assert np.array_equal(frame.z, six_frame.z)
+
+    def test_generated_population_bit_identical(self, tmp_path):
+        frame = c2p.synthetic_population(5000, 3)
+        path = tmp_path / "synthetic.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,x,z\n")
+            fh.writelines(f"{y!r},{x!r},{z!r}\n" for y, x, z in zip(
+                frame.y.tolist(), frame.x.tolist(), frame.z.tolist()))
+        fast = io._parse_vectorized(path)
+        assert fast is not None
+        for got, want, orig in zip(fast, io._parse_by_line(path), (frame.y, frame.x, frame.z)):
+            assert got.tobytes() == want.tobytes() == orig.tobytes()
+
+    def test_fixture_bit_identical(self, six_csv_path):
+        fast = io._parse_vectorized(six_csv_path)
+        assert fast is not None
+        for got, want in zip(fast, io._parse_by_line(six_csv_path)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestParamsJson:
@@ -538,3 +682,38 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert err.startswith("error: n has 401 digits, beyond float64's range")
+
+
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# Command lines whose stdout, run from the repository root, is frozen in
+# tests/golden/<name>.json.
+GOLDEN_RUNS = {
+    "moments": ["moments", "fixtures/sixunit.csv"],
+    "efficiency_pop": ["efficiency", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4"],
+    "efficiency_params": [
+        "efficiency", "--params", "fixtures/murthy67.json", "--delta310-from-delta300",
+    ],
+    "estimate": ["estimate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4", "--seed", "1"],
+    "simulate": [
+        "simulate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
+        "--estimator", "td-star:linear", "--reps", "500", "--seed", "5",
+    ],
+    "enumerate": [
+        "enumerate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
+        "--estimator", "td-star:linear",
+    ],
+}
+
+
+class TestGoldenReports:
+    """CLI reports on fixtures/ stay byte-identical."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_report_is_byte_identical(self, name, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        code, out, err = run_cli(GOLDEN_RUNS[name], capsys)
+        assert code == 0, err
+        with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8", newline="") as fh:
+            assert out == fh.read()

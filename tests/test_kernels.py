@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corr2phase as c2p
 from corr2phase import _kernels as K
@@ -48,6 +50,7 @@ class TestRngContract:
 
     def test_rows_sorted_and_nested(self):
         first, second = K.draw_rows(40, 17, 6, reps=200, seed=5)
+        assert first.flags.c_contiguous and second.flags.c_contiguous
         assert np.all(np.diff(first, axis=1) > 0)
         assert np.all(np.diff(second, axis=1) > 0)
         for frow, srow in zip(first, second):
@@ -137,6 +140,27 @@ class TestStatsRows:
         assert flags[0] == K.FLAG_SINGULAR
         assert np.all(np.isfinite(rows[0, : K.COL_A + 1]))
         assert np.isnan(rows[0, K.COL_ALPHA])
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lo=st.integers(0, 39),
+        width=st.integers(1, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_row_slices_round_like_the_full_call(self, seed, lo, width):
+        # replication t is a pure function of (seed, t): a slice of the
+        # draw, or a fresh draw from rep_lo, gives the same rows bit for bit
+        hi = min(lo + width, 40)
+        frame = synth(N=2000, seed=7)
+        aux = c2p.KnownAux.from_frame(frame)
+        cols = (frame.y, frame.x, frame.z)
+        first, second = K.draw_rows(2000, 40, 10, reps=40, seed=seed)
+        rows, flags = K.stats_rows(*cols, first, second, aux.zbar, aux.sz2)
+        part_first, part_second = K.draw_rows(2000, 40, 10, reps=hi - lo, seed=seed, rep_lo=lo)
+        for f, s in ((first[lo:hi], second[lo:hi]), (part_first, part_second)):
+            got, got_flags = K.stats_rows(*cols, f, s, aux.zbar, aux.sz2)
+            assert np.array_equal(got, rows[lo:hi], equal_nan=True)
+            assert np.array_equal(got_flags, flags[lo:hi])
 
 
 class TestSubsetRanker:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from corr2phase.montecarlo import (
     EnumerationResult,
     _aggregate,
     _check_skip_budget,
+    _standard_errors,
     analytic_variance_for,
 )
 
@@ -324,6 +326,25 @@ class TestSimulation:
         # the mean is finite, but the squared error of 1e200 is not
         with pytest.raises(NonFiniteEstimate):
             _aggregate(np.array([1e200, 1.0]), np.zeros(2, np.uint8), 0.5)
+
+    def test_standard_errors_do_not_cancel(self):
+        # 20k values that spread by 1e-6 around 0.95: a one-pass
+        # ss - k*mean**2 keeps about 4 correct digits here (9e-5 off)
+        rng = np.random.Generator(np.random.PCG64(12))
+        kept = 0.95 + 1e-6 * rng.standard_normal(20_000)
+        rho = 0.9
+        k, _, _, mean, mse = _aggregate(kept, np.zeros(kept.size, np.uint8), rho)
+        se_mean, se_mse = _standard_errors(kept, rho, mean, mse)
+
+        def exact_se(values):
+            values = [Fraction(v) for v in values.tolist()]
+            centre = sum(values) / k
+            var = sum((v - centre) ** 2 for v in values) / (k - 1)
+            return math.sqrt(var / k)
+
+        err = kept - rho
+        assert se_mean == pytest.approx(exact_se(kept), rel=1e-14, abs=0)
+        assert se_mse == pytest.approx(exact_se(err * err), rel=1e-14, abs=0)
 
     def test_overflowing_enumeration_is_typed(self):
         # The plug-in power estimator reaches 1.3e308 on this design, so
