@@ -13,6 +13,12 @@ pair_rows joins them for index vectors (i1, i2). stats_rows pairs row t
 with row t; exact enumeration computes each distinct set once and
 pairs them by subset rank (subset_ranker).
 
+moment_rows is the one place that computes means, sums of products and
+standardized moments d_pqm, over (rows x units) arrays: the gathered
+second-phase rows here, the one row of a sample in sampling, and the
+one row of a whole population in moments. Census samples therefore
+reproduce the population table bit for bit.
+
 The optimum-weight closed form lives here too (optimum_weights), in
 plain arithmetic, so that the per-sample kernel and the scalar
 population path in analytics run the same code.
@@ -79,6 +85,13 @@ WEIGHT_TRIPLES = (
     (0, 0, 3),
     (0, 0, 4),
 )
+
+# Second-order triples, whose sums moment_rows always returns.
+SECOND_ORDER_TRIPLES = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+
+# Triples moment_rows computes for one second-phase sample: the y-x
+# covariance (for r) and the weight moments.
+SAMPLE_TRIPLES = ((1, 1, 0),) + WEIGHT_TRIPLES
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -247,6 +260,37 @@ def _powers(f, f2):
     return ([], [f], [f2], [f2, f], [f2, f2])
 
 
+def moment_rows(y, x, z, triples):
+    """Means, sums of products and d_pqm over rows of units.
+
+    y, x and z are (rows, units) float64 arrays. Returns (means, sums,
+    d): the row means of y, x and z; the row sums of dy^p dx^q dz^m of
+    the deviations, for SECOND_ORDER_TRIPLES and each requested (p, q,
+    m); and d_pqm = (sum / units) / (sd_y^p sd_x^q sd_z^m) for each
+    requested triple, sd on the divisor-units convention. Products and
+    scales are built in _powers order, the products in one reused
+    buffer, so a row rounds the same alone as among many. Non-finite
+    values are left for the caller to flag or name.
+    """
+    units = y.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        means = tuple(f.mean(axis=1) for f in (y, x, z))
+        dev = [f - mean[:, None] for f, mean in zip((y, x, z), means)]
+        squares = [f * f for f in dev]
+        factors = [_powers(f, f2) for f, f2 in zip(dev, squares)]
+        sums = dict(zip(SECOND_ORDER_TRIPLES, (f2.sum(axis=1) for f2 in squares)))
+        scale = [_powers(np.sqrt(v), v) for v in (s / units for s in sums.values())]
+        buf = np.empty_like(dev[0])
+        d = {}
+        for p, q, m in triples:
+            terms = factors[0][p] + factors[1][q] + factors[2][m]
+            prod = reduce(lambda a, b: np.multiply(a, b, out=buf), terms)
+            sums[p, q, m] = prod.sum(axis=1)
+            den = reduce(mul, scale[0][p] + scale[1][q] + scale[2][m])
+            d[p, q, m] = (sums[p, q, m] / units) / den
+    return means, sums, d
+
+
 def first_phase_rows(
     x: np.ndarray,
     z: np.ndarray,
@@ -265,11 +309,11 @@ def first_phase_rows(
     n1 = first.shape[1]
     x1 = x[first]
     z1 = z[first]
-    xbar1 = x1.mean(axis=1)
-    zbar1 = z1.mean(axis=1)
-    vx1 = ((x1 - xbar1[:, None]) ** 2).sum(axis=1)
-    vz1 = ((z1 - zbar1[:, None]) ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xbar1 = x1.mean(axis=1)
+        zbar1 = z1.mean(axis=1)
+        vx1 = ((x1 - xbar1[:, None]) ** 2).sum(axis=1)
+        vz1 = ((z1 - zbar1[:, None]) ** 2).sum(axis=1)
         sx2_1 = vx1 / (n1 - 1.0)
         sz2_1 = vz1 / (n1 - 1.0)
         rows = np.column_stack((xbar1, sx2_1, zbar1 / aux_zbar, sz2_1 / aux_sz2))
@@ -294,40 +338,16 @@ def second_phase_rows(
     """
     y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
     n = second.shape[1]
-    ys = y[second]
-    xs = x[second]
-    zs = z[second]
-    dy = ys - ys.mean(axis=1)[:, None]
-    dx = xs - xs.mean(axis=1)[:, None]
-    dz = zs - zs.mean(axis=1)[:, None]
-    xbar = xs.mean(axis=1)
-    zbar = zs.mean(axis=1)
-    dy2 = dy * dy
-    dx2 = dx * dx
-    dz2 = dz * dz
-
-    m200 = dy2.sum(axis=1)
-    m020 = dx2.sum(axis=1)
-    m002 = dz2.sum(axis=1)
-    m110 = (dy * dx).sum(axis=1)
+    (_, xbar, zbar), sums, std = moment_rows(
+        y[second], x[second], z[second], SAMPLE_TRIPLES
+    )
+    m200, m020, m002 = (sums[t] for t in SECOND_ORDER_TRIPLES)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sy2 = m200 / (n - 1.0)
         sx2 = m020 / (n - 1.0)
         sz2 = m002 / (n - 1.0)
-        syx = m110 / (n - 1.0)
-        r = syx / np.sqrt(sy2 * sx2)
-
-        # d_pqm = mean(dy^p dx^q dz^m) / (sdy^p sdx^q sdz^m); _powers fixes
-        # the order of the factors, and with it the rounding of every row
-        dev = [_powers(dy, dy2), _powers(dx, dx2), _powers(dz, dz2)]
-        scale = [_powers(np.sqrt(var), var) for var in (m200 / n, m020 / n, m002 / n)]
-        std = {}
-        for t in WEIGHT_TRIPLES:
-            num = reduce(mul, dev[0][t[0]] + dev[1][t[1]] + dev[2][t[2]])
-            den = reduce(mul, scale[0][t[0]] + scale[1][t[1]] + scale[2][t[2]])
-            std[t] = (num.sum(axis=1) / n) / den
-
+        r = (sums[1, 1, 0] / (n - 1.0)) / np.sqrt(sy2 * sx2)
         span_x, singular_x = spread(std[0, 4, 0], std[0, 3, 0])
         span_z, singular_z = spread(std[0, 0, 4], std[0, 0, 3])
         _, weights = optimum_weights(

@@ -10,9 +10,14 @@ mu_002^(m/2)) are dimensionless, so the N vs N - 1 choice cancels out of
 them, but it does matter for the variances and the coefficients of
 variation C_* = S_* / mean_*.
 
+population_moments takes the means, the sums of products and the d_pqm
+from _kernels.moment_rows, the one function that also computes them for
+every sample. It divides the sums by N - 1 for S2_* and the covariances,
+and forms each correlation from those sums, s_ab / sqrt(S2_a S2_b),
+never from d_110 and its kin, whose ratio can round past 1.
+
 Exponent order is (p, q, m) = (y, x, z) everywhere.
 """
-
 from __future__ import annotations
 
 import math
@@ -21,6 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DegenerateVariable,
     InvalidParameter,
@@ -59,7 +65,8 @@ DELTA_TRIPLES: tuple[tuple[int, int, int], ...] = (
     (0, 2, 2),
 )
 
-_IDENTITY_TRIPLES = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+_IDENTITY_TRIPLES = _kernels.SECOND_ORDER_TRIPLES
+_TABLE_TRIPLES = tuple(t for t in DELTA_TRIPLES if t not in _IDENTITY_TRIPLES)
 
 _TRIPLE_NAMES = {t: f"d_{t[0]}{t[1]}{t[2]}" for t in DELTA_TRIPLES}
 _NAME_TRIPLES = {v: k for k, v in _TRIPLE_NAMES.items()}
@@ -186,7 +193,6 @@ def check_float_size(name: str, size: int) -> None:
         ) from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def population_moments(frame: PopulationFrame) -> MomentSet:
     """Compute the exact moment table of a full population.
 
@@ -196,66 +202,36 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
     records a note rather than failing, because many downstream results
     never touch that C.
 
+    The means, sums and d_pqm come from _kernels.moment_rows on the one
+    row of the whole population, the function that also serves every
+    sample, so a census sample reproduces this table bit for bit.
+
     Data at the edge of float64 fails with a typed error naming the
     moment: DegenerateVariable when a second moment underflows to 0,
     InvalidParameter when a mean, variance, C or d_pqm is not finite.
     """
     N = frame.N
-    means = {
-        v: _finite(f"mean_{v}", float(np.mean(getattr(frame, v))))
-        for v in ("y", "x", "z")
-    }
-    dy = frame.y - means["y"]
-    dx = frame.x - means["x"]
-    dz = frame.z - means["z"]
-
-    def mu(p: int, q: int, m: int) -> float:
-        term = np.ones_like(dy)
-        if p:
-            term = term * dy**p
-        if q:
-            term = term * dx**q
-        if m:
-            term = term * dz**m
-        return float(np.sum(term) / N)
-
-    mu200, mu020, mu002 = mu(2, 0, 0), mu(0, 2, 0), mu(0, 0, 2)
-    # Variances on the N - 1 convention.
+    row_means, row_sums, row_delta = _kernels.moment_rows(
+        frame.y[None], frame.x[None], frame.z[None], _TABLE_TRIPLES
+    )
+    means = {v: _finite(f"mean_{v}", float(m[0])) for v, m in zip("yxz", row_means)}
+    sums = {t: float(total[0]) for t, total in row_sums.items()}
+    # Variances and covariances on the N - 1 convention.
     s2: dict[str, float] = {}
-    for v, name, second in (
-        ("y", "mu_200", mu200),
-        ("x", "mu_020", mu020),
-        ("z", "mu_002", mu002),
-    ):
-        if second == 0.0:
+    for v, t in zip("yxz", _IDENTITY_TRIPLES):
+        if sums[t] / N == 0.0:
             raise DegenerateVariable(
-                f"{name} underflows to 0: {v} varies too little for float64"
+                f"mu{delta_name(t)[1:]} underflows to 0: "
+                f"{v} varies too little for float64"
             )
-        s2[v] = _finite(f"S2_{v}", second * N / (N - 1))
-    sd = {"y": math.sqrt(mu200), "x": math.sqrt(mu020), "z": math.sqrt(mu002)}
+        s2[v] = _finite(f"S2_{v}", sums[t] / (N - 1))
 
     # The three pure second-order triples self-normalize to 1 by
     # definition; writing them literally keeps them exact instead of
     # sqrt(mu)**2 rounding one ulp away.
-    delta: dict[tuple[int, int, int], float] = {
-        (2, 0, 0): 1.0,
-        (0, 2, 0): 1.0,
-        (0, 0, 2): 1.0,
-    }
-    for p, q, m in DELTA_TRIPLES:
-        if (p, q, m) in delta:
-            continue
-        num = mu(p, q, m)
-        try:
-            value = num / (sd["y"] ** p * sd["x"] ** q * sd["z"] ** m)
-        except (OverflowError, ZeroDivisionError):  # the scale left float64's range
-            value = math.nan
-        delta[(p, q, m)] = _finite(delta_name((p, q, m)), value)
-
-    # Covariances on the N - 1 convention.
-    s_yx = mu(1, 1, 0) * N / (N - 1)
-    s_yz = mu(1, 0, 1) * N / (N - 1)
-    s_xz = mu(0, 1, 1) * N / (N - 1)
+    delta = dict.fromkeys(_IDENTITY_TRIPLES, 1.0)
+    for t in _TABLE_TRIPLES:
+        delta[t] = _finite(delta_name(t), float(row_delta[t][0]))
 
     notes: list[str] = []
     cv: dict[str, float | None] = {}
@@ -265,6 +241,12 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
             notes.append(f"mean of {v} is zero; C_{v} left undefined")
         else:
             cv[v] = _finite(f"C_{v}", math.sqrt(s2[v]) / means[v])
+
+    # Correlations from the sums, not from d_110 and its kin.
+    rho = {
+        ab: sums[t] / (N - 1) / math.sqrt(s2[ab[0]] * s2[ab[1]])
+        for ab, t in (("yx", (1, 1, 0)), ("yz", (1, 0, 1)), ("xz", (0, 1, 1)))
+    }
 
     return MomentSet(
         delta=delta,
@@ -278,9 +260,9 @@ def population_moments(frame: PopulationFrame) -> MomentSet:
         c_y=cv["y"],
         c_x=cv["x"],
         c_z=cv["z"],
-        rho_yx=s_yx / math.sqrt(s2["y"] * s2["x"]),
-        rho_yz=s_yz / math.sqrt(s2["y"] * s2["z"]),
-        rho_xz=s_xz / math.sqrt(s2["x"] * s2["z"]),
+        rho_yx=rho["yx"],
+        rho_yz=rho["yz"],
+        rho_xz=rho["xz"],
         notes=tuple(notes),
     )
 

@@ -226,7 +226,7 @@ def simulate(
     _check_skip_fraction(max_skip_fraction)
 
     m = population_moments(frame)
-    aux = KnownAux.from_frame(frame)
+    aux = KnownAux(m.mean_z, m.s2_z)
 
     try:
         rows = np.empty((reps, _kernels.NCOLS))
@@ -311,7 +311,7 @@ def enumerate_exact(
         )
 
     m = population_moments(frame)
-    aux = KnownAux.from_frame(frame)
+    aux = KnownAux(m.mean_z, m.s2_z)
 
     first_all = np.array(
         list(itertools.combinations(range(design.N), design.n1)), dtype=np.int64

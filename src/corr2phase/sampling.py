@@ -110,9 +110,12 @@ class SampleStatistics:
     """Everything an estimator needs from one two-phase draw.
 
     Ratios compare second-phase to first-phase statistics (u, v), and
-    first-phase statistics to the known z moments (w, a). delta_hat
-    holds second-phase standardized central moments on the divisor-n
-    convention, keyed by (p, q, m). c_x_hat or c_z_hat is None when the
+    first-phase statistics to the known z moments (w, a). Variances and
+    s_yx use divisor n - 1 (n1 - 1 in the first phase). delta_hat holds
+    the second-phase standardized central moments the plug-in weights
+    read, on the divisor-n convention and keyed by (p, q, m); they come
+    from the function that computes the population table, so a census
+    sample reproduces it. c_x_hat or c_z_hat is None when the
     corresponding sample mean is zero.
     """
 
@@ -165,7 +168,6 @@ def draw_two_phase(
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sample_statistics(
     frame: PopulationFrame,
     sample: TwoPhaseSample,
@@ -173,34 +175,36 @@ def sample_statistics(
 ) -> SampleStatistics:
     """Compute the full statistics bundle for one sample.
 
+    The one-row case of the kernels: _kernels.first_phase_rows on the
+    first-phase set, with unit known z moments so that its w and a
+    columns hold the raw first-phase mean and variance of z, and
+    _kernels.moment_rows on the second-phase set. So r, u, v, w, a and
+    the plug-in weights equal a stats_rows row bit for bit, and a census
+    sample reproduces population_moments.
+
     Raises DegenerateSample when any variance that the ratios divide by
-    is zero: y, x, z within the second phase, or x, z within the first.
-    Data at the edge of float64 fails with InvalidParameter naming the
-    first variance or d_pqm that is not finite, as population_moments
-    does.
+    is zero: y, x, z within the second phase, or x, z within the first;
+    SingularDenominator when the first-phase mean of x is zero. Data at
+    the edge of float64 fails with InvalidParameter naming the first
+    variance or d_pqm that is not finite, as population_moments does.
     """
     if sample.design.N != frame.N:
         raise InvalidDesign("sample and population disagree on N")
     n1, n = sample.design.n1, sample.design.n
 
-    x1 = frame.x[sample.first_phase]
-    z1 = frame.z[sample.first_phase]
-    xbar1 = float(np.mean(x1))
-    zbar1 = float(np.mean(z1))
-    s2_x_first = float(np.sum((x1 - xbar1) ** 2) / (n1 - 1))
-    s2_z_first = float(np.sum((z1 - zbar1) ** 2) / (n1 - 1))
+    first_row, _ = _kernels.first_phase_rows(
+        frame.x, frame.z, sample.first_phase[None], 1.0, 1.0
+    )
+    xbar1, s2_x_first, zbar1, s2_z_first = (float(v) for v in first_row[0])
     _finite("sample s2_x_first", s2_x_first)
     _finite("sample s2_z_first", s2_z_first)
 
-    ys = frame.y[sample.second_phase]
-    xs = frame.x[sample.second_phase]
-    zs = frame.z[sample.second_phase]
-    ybar, xbar, zbar = (float(np.mean(arr)) for arr in (ys, xs, zs))
-    dy, dx, dz = ys - ybar, xs - xbar, zs - zbar
-
-    m200 = float(np.sum(dy * dy))
-    m020 = float(np.sum(dx * dx))
-    m002 = float(np.sum(dz * dz))
+    second = sample.second_phase[None]
+    means, sums, d = _kernels.moment_rows(
+        frame.y[second], frame.x[second], frame.z[second], _kernels.SAMPLE_TRIPLES
+    )
+    ybar, xbar, zbar = (float(mean[0]) for mean in means)
+    m200, m020, m002 = (float(sums[t][0]) for t in _kernels.SECOND_ORDER_TRIPLES)
     if min(m200, m020, m002) <= 0.0:
         raise DegenerateSample("a second-phase variable is constant in the sample")
     if min(s2_x_first, s2_z_first) <= 0.0:
@@ -213,24 +217,12 @@ def sample_statistics(
     s2_y = _finite("sample s2_y", m200 / (n - 1))
     s2_x = _finite("sample s2_x", m020 / (n - 1))
     s2_z = _finite("sample s2_z", m002 / (n - 1))
-    s_yx = float(np.sum(dy * dx)) / (n - 1)
+    s_yx = float(sums[1, 1, 0][0]) / (n - 1)
     r = s_yx / math.sqrt(s2_y * s2_x)
 
-    sdy = math.sqrt(m200 / n)
-    sdx = math.sqrt(m020 / n)
-    sdz = math.sqrt(m002 / n)
-    delta_hat: dict[tuple[int, int, int], float] = {
-        (2, 0, 0): 1.0,
-        (0, 2, 0): 1.0,
-        (0, 0, 2): 1.0,
-    }
-    for p, q, m in _kernels.WEIGHT_TRIPLES:
-        mu_hat = float(np.sum(dy**p * dx**q * dz**m)) / n
-        try:
-            value = mu_hat / (sdy**p * sdx**q * sdz**m)
-        except (OverflowError, ZeroDivisionError):  # the scale left float64's range
-            value = math.nan
-        delta_hat[(p, q, m)] = _finite(f"sample {delta_name((p, q, m))}", value)
+    delta_hat = dict.fromkeys(_kernels.SECOND_ORDER_TRIPLES, 1.0)
+    for triple in _kernels.WEIGHT_TRIPLES:
+        delta_hat[triple] = _finite(f"sample {delta_name(triple)}", float(d[triple][0]))
 
     return SampleStatistics(
         n=n,

@@ -18,6 +18,26 @@ def six_frame() -> c2p.PopulationFrame:
     )
 
 
+# Frames on which a census sample must reproduce the population table
+# bit for bit. Before the sample and population moments shared one
+# function, each frame here but the six-unit fixture broke an identity.
+CENSUS_FRAMES = {
+    "synth50-1": lambda: c2p.synthetic_population(50, 1),
+    "synth50-3": lambda: c2p.synthetic_population(50, 3),
+    "random9-2": lambda: c2p.random_population(9, 2),
+    "random9-4": lambda: c2p.random_population(9, 4),
+    "random14-3": lambda: c2p.random_population(14, 3),
+    "random3001-2": lambda: c2p.random_population(3001, 2),
+}
+
+
+@pytest.fixture(scope="session", params=["sixunit", *CENSUS_FRAMES])
+def census_frame(request, six_frame) -> c2p.PopulationFrame:
+    if request.param == "sixunit":
+        return six_frame
+    return CENSUS_FRAMES[request.param]()
+
+
 @pytest.fixture(scope="session")
 def six_csv_path() -> str:
     return os.path.join(FIXTURES, "sixunit.csv")

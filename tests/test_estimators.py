@@ -381,12 +381,14 @@ class TestPlugInConstants:
             spec = c2p.parse_estimator(f"td-star:{variant}")
             assert c2p.estimate(spec, stats) == stats.r
 
-    def test_census_plugin_equals_population_optimum(self, six_frame, six_aux):
+    def test_census_plugin_equals_population_optimum(self, census_frame):
+        N = census_frame.N
         census = c2p.TwoPhaseSample(
-            c2p.DesignSpec(6, 6, 6), np.arange(6), np.arange(6)
+            c2p.DesignSpec(N, N, N), np.arange(N), np.arange(N)
         )
-        stats = c2p.sample_statistics(six_frame, census, six_aux)
-        moments = c2p.population_moments(six_frame)
+        aux = c2p.KnownAux.from_frame(census_frame)
+        stats = c2p.sample_statistics(census_frame, census, aux)
+        moments = c2p.population_moments(census_frame)
         assert c2p.estimated_optimum_constants(stats) == c2p.optimum_constants(
             moments
         )

@@ -1,5 +1,8 @@
 import itertools
+import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 import corr2phase as c2p
 from corr2phase import _kernels as K
 from corr2phase.errors import InvalidParameter
-from oracles import draw_pair
+from oracles import TRIPLES, delta_table, draw_pair, mpf_frac, mu
 
 # Frozen splitmix64 finalizer vectors from tests/oracles.py.
 MIX_VECTORS = {
@@ -116,6 +119,26 @@ class TestStatsRows:
             opt = c2p.estimated_optimum_constants(stats)
             assert rows[i, K.COL_ALPHA :] == pytest.approx(opt.weights(), rel=1e-9)
 
+    def test_rows_equal_sample_statistics(self):
+        # sample_statistics is the one-row case of the kernels, so the
+        # draw of test_rows_match_scalar_statistics agrees bit for bit
+        frame = synth(N=60, seed=4)
+        design = c2p.DesignSpec(N=60, n1=25, n=10)
+        first, second = K.draw_rows(60, 25, 10, reps=50, seed=21)
+        aux = c2p.KnownAux.from_frame(frame)
+        rows, flags = K.stats_rows(
+            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2,
+        )
+        assert not np.any(flags)
+        for i in range(50):
+            sample = c2p.TwoPhaseSample(
+                design=design, first_phase=first[i], second_phase=second[i]
+            )
+            stats = c2p.sample_statistics(frame, sample, aux)
+            weights = c2p.estimated_optimum_constants(stats).weights()
+            expect = (stats.r, stats.u, stats.v, stats.w, stats.a) + weights
+            assert tuple(rows[i]) == expect, i
+
     def test_degenerate_sample_flagged(self):
         y = np.array([5.0, 5.0, 5.0, 1.0, 2.0, 3.0])
         x = np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0])
@@ -161,6 +184,123 @@ class TestStatsRows:
             got, got_flags = K.stats_rows(*cols, f, s, aux.zbar, aux.sz2)
             assert np.array_equal(got, rows[lo:hi], equal_nan=True)
             assert np.array_equal(got_flags, flags[lo:hi])
+
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def _magnitudes(top):
+    # 0 or at least 1e-6 in size, so that no product of four deviations
+    # underflows: the error model below holds only away from underflow
+    return st.one_of(st.just(0.0), st.floats(1e-6, top), st.floats(-top, -1e-6))
+
+
+def _columns(n):
+    """One variable of n units: a spread, ties, two points, a mean near
+    zero, or a large offset with unit spread."""
+    small = _magnitudes(3.0)
+    half = st.lists(small, min_size=n // 2, max_size=n // 2)
+    return st.one_of(
+        st.lists(_magnitudes(100.0), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.1, 0.7, 3.0, -2.5]), min_size=n, max_size=n),
+        st.tuples(small, small, st.lists(st.booleans(), min_size=n, max_size=n)).map(
+            lambda t: [t[0] if pick else t[1] for pick in t[2]]
+        ),
+        st.tuples(half, st.floats(-1e-9, 1e-9)).map(
+            lambda t: [v + t[1] for v in t[0] + [-v for v in t[0]] + [0.0] * (n % 2)]
+        ),
+        st.lists(small, min_size=n, max_size=n).map(lambda vs: [1e8 + v for v in vs]),
+    )
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(2, 12))
+    return [np.array(draw(_columns(n))) for _ in range(3)]
+
+
+class TestMomentRowsOracle:
+    """moment_rows and first_phase_rows against exact rationals.
+
+    Error model, to first order in u and then doubled for the higher
+    orders, for n units whose largest magnitude is F and exact standard
+    deviation (divisor n) is sd:
+    * a computed mean is off by at most n u F (summation, then division);
+    * so each deviation is off by at most eta = (n + 2) u F, the extra
+      2 u F from rounding the subtraction, and |deviation| <= sqrt(n) sd;
+    * in units of sigma = max(sd, eta), a product over the exponents e
+      of k deviations is at most P = prod (sqrt(n) + eta/sigma)^e, and
+      it is off by at most P - n^(k/2) + (k - 1) u P; summing n of them
+      adds (n - 1) u n P, so a sum is off by n A prod sigma^e with
+      A = P - n^(k/2) + (k + n) u P;
+    * a variance is off by the relative rho = A_2 (sigma/sd)^2 + u, a
+      standard deviation by rho/2 + u, the scale of d_pqm by rho_D =
+      sum e (rho/2 + u) + (k - 1) u, and d_pqm by
+      A prod (sigma/sd)^e + |d| (rho_D + 2u).
+    d_pqm is checked where rho_D < 1/2: beyond that the computed scale
+    says nothing (a constant variable has none). An all-zero variable
+    has sigma = 0 and is computed exactly. The bound grows with n
+    and with F/sd, the offset over the spread.
+    """
+
+    @given(cols=_samples())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_exact_moments(self, cols):
+        n = cols[0].shape[0]
+        exact = [[Fraction(float(v)) for v in col] for col in cols]
+        means, sums, d = K.moment_rows(*(col[None] for col in cols), TRIPLES)
+        big = [float(np.max(np.abs(col))) for col in cols]
+        eta = [(n + 2) * U * f for f in big]
+        second = K.SECOND_ORDER_TRIPLES
+        sd = [float(mp.sqrt(mpf_frac(mu(*exact, *t)))) for t in second]
+        sigma = [max(s, e) for s, e in zip(sd, eta)]
+
+        def growth(e):
+            k = sum(e)
+            p = math.prod((math.sqrt(n) + (et / sg if sg else 0.0)) ** ex
+                          for et, sg, ex in zip(eta, sigma, e))
+            return p - n ** (k / 2) + (k + n) * U * p
+
+        rho = [growth(t) * (sg / s) ** 2 + U if s else math.inf
+               for t, sg, s in zip(second, sigma, sd)]
+        table = delta_table(*exact) if all(sd) else {}
+        for i, col in enumerate(exact):
+            err = abs(Fraction(float(means[i][0])) - sum(col) / n)
+            assert err <= 2 * n * U * big[i], ("mean", i)
+        for t in TRIPLES:
+            scale = math.prod(sg**ex for sg, ex in zip(sigma, t))
+            err = abs(Fraction(float(sums[t][0])) - n * mu(*exact, *t))
+            assert err <= 2 * n * growth(t) * scale, ("sum", t)
+            rho_d = sum(ex * (r / 2 + U) for r, ex in zip(rho, t) if ex) + (sum(t) - 1) * U
+            if rho_d >= 0.5 or t not in table:
+                continue
+            want = table[t]
+            ratio = math.prod((sg / s) ** ex for sg, s, ex in zip(sigma, sd, t) if ex)
+            bound = growth(t) * ratio + float(abs(want)) * (rho_d + 2 * U)
+            assert abs(mp.mpf(float(d[t][0])) - want) <= 2 * bound, ("d", t)
+
+    @given(cols=_samples())
+    @settings(max_examples=80, deadline=None)
+    def test_first_phase_rows_match_exact_moments(self, cols):
+        _, x, z = cols
+        n = x.shape[0]
+        rows, flags = K.first_phase_rows(x, z, np.arange(n)[None], 1.0, 1.0)
+        for col, mean, var in ((x, rows[0, 0], rows[0, 1]), (z, rows[0, 2], rows[0, 3])):
+            exact = [Fraction(float(v)) for v in col]
+            big = float(np.max(np.abs(col)))
+            ex_mean = sum(exact) / n
+            ex_ss = sum((v - ex_mean) ** 2 for v in exact)
+            sigma = max(math.sqrt(ex_ss / n), (n + 2) * U * big)
+            t = (n + 2) * U * big / sigma if sigma else 0.0
+            p = (math.sqrt(n) + t) ** 2
+            grow = p - n + (2 + n) * U * p
+            assert abs(Fraction(float(mean)) - ex_mean) <= 2 * n * U * big
+            bound = (n * grow * sigma**2 + U * float(ex_ss)) / (n - 1)
+            assert abs(Fraction(float(var)) - ex_ss / (n - 1)) <= 2 * bound
+        # a degenerate flag means a constant variable; the converse is not
+        # checked: the mean of a constant 0.1 can round off 0.1
+        if flags[0]:
+            assert min(x) == max(x) or min(z) == max(z)
 
 
 class TestSubsetRanker:

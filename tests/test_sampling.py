@@ -162,15 +162,24 @@ class TestSampleStatistics:
         assert stats.delta_hat[(0, 2, 0)] == 1.0
         assert stats.delta_hat[(0, 0, 2)] == 1.0
 
-    def test_census_collapses_all_ratios(self, six_frame):
-        design = c2p.DesignSpec(N=6, n1=6, n=6)
-        sample = c2p.draw_two_phase(six_frame, design, seed=1)
+    def test_census_collapses_all_ratios(self, census_frame):
+        N = census_frame.N
+        design = c2p.DesignSpec(N=N, n1=N, n=N)
+        sample = c2p.draw_two_phase(census_frame, design, seed=1)
         stats = c2p.sample_statistics(
-            six_frame, sample, c2p.KnownAux.from_frame(six_frame)
+            census_frame, sample, c2p.KnownAux.from_frame(census_frame)
         )
-        m = c2p.population_moments(six_frame)
+        m = c2p.population_moments(census_frame)
         assert (stats.u, stats.v, stats.w, stats.a) == (1.0, 1.0, 1.0, 1.0)
         assert stats.r == m.rho_yx
+
+    def test_census_reproduces_population_table(self, census_frame):
+        N = census_frame.N
+        census = c2p.TwoPhaseSample(c2p.DesignSpec(N, N, N), np.arange(N), np.arange(N))
+        m = c2p.population_moments(census_frame)
+        stats = c2p.sample_statistics(census_frame, census, c2p.KnownAux(m.mean_z, m.s2_z))
+        assert (stats.s2_y, stats.s2_x, stats.s2_z) == (m.s2_y, m.s2_x, m.s2_z)
+        assert stats.delta_hat == {t: m.delta[t] for t in stats.delta_hat}
 
     def test_perfect_linear_relation_gives_unit_r(self):
         x = np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0])
@@ -228,6 +237,12 @@ class TestKnownAux:
         aux = c2p.KnownAux.from_frame(six_frame)
         assert aux.zbar == np.mean(six_frame.z)
         assert aux.sz2 == pytest.approx(np.var(six_frame.z, ddof=1), rel=1e-15)
+
+    def test_from_frame_matches_population_moments(self, census_frame):
+        # simulate and enumerate build KnownAux from population_moments
+        aux = c2p.KnownAux.from_frame(census_frame)
+        m = c2p.population_moments(census_frame)
+        assert (aux.zbar, aux.sz2) == (m.mean_z, m.s2_z)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
