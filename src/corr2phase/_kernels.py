@@ -19,9 +19,12 @@ second-phase rows here, the one row of a sample in sampling, and the
 one row of a whole population in moments. Census samples therefore
 reproduce the population table bit for bit.
 
-The optimum-weight closed form lives here too (optimum_weights), in
-plain arithmetic, so that the per-sample kernel and the scalar
-population path in analytics run the same code.
+The variance slopes (scaled_slopes, times r so that they stay finite
+at r = 0) and the solve of each axis's 2x2 system for the optimum
+weights (optimum_weights) live here too, in plain arithmetic, so that
+the per-sample kernel and the scalar paths in analytics run the same
+code. analytics evaluates the class variance at those weights for the
+minimized variance.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ SECOND_COLS = 7
 # elements per first-phase unit: a bound that holds for any n <= n1.
 SCRATCH_PER_N1 = 32
 
-FLAG_DEGENERATE = 1  # a required sample variance is zero
+FLAG_DEGENERATE = 1  # a required sample variable is constant
 FLAG_NONFINITE = 2  # a core statistic (r, u, v, w, a) is not finite
 FLAG_SINGULAR = 4  # plug-in optimum constants could not be formed
 
@@ -121,33 +124,42 @@ def spread(kurt, skew):
     return span, span <= SINGULAR_RTOL * (abs(kurt) + skew * skew + 1.0)
 
 
-def optimum_weights(d, c_x, c_z, r, span_x, span_z):
-    """Variance slopes and the optimum adjustment weights, in closed form.
+def scaled_slopes(d, c_x, c_z, r):
+    """The four variance slopes times r, so finite at r = 0.
 
-    d(p, q, m) returns the standardized central moment d_pqm; c_x, c_z
-    are the coefficients of variation and r the correlation, all on the
-    same footing: exact population values or one sample's estimates.
-    span_x and span_z come from spread(). The arithmetic is plain, so
-    floats and arrays (one entry per sample) both work; guarding r, c_x,
-    c_z and the spans against zero is the caller's job.
-
-    Returns (slopes, weights), each ordered (mean_x, var_x, mean_z, var_z).
+    A slope is the coefficient of a design-variance term linear in one
+    weight. d(p, q, m) returns d_pqm; c_x, c_z are the coefficients of
+    variation and r the correlation, all exact population values or all
+    one sample's estimates, as floats or arrays (one entry per sample).
+    Ordered (mean_x, var_x, mean_z, var_z).
     """
-    skew_x, kurt_x = d(0, 3, 0), d(0, 4, 0)
-    skew_z, kurt_z = d(0, 0, 3), d(0, 0, 4)
-    slope_mean_x = (2.0 * d(1, 2, 0) / r - d(2, 1, 0) - skew_x) * c_x
-    slope_var_x = 2.0 * d(1, 3, 0) / r - d(2, 2, 0) - kurt_x
-    slope_mean_z = (2.0 * d(1, 1, 1) / r - d(2, 0, 1) - d(0, 2, 1)) * c_z
-    slope_var_z = 2.0 * d(1, 1, 2) / r - d(2, 0, 2) - d(0, 2, 2)
-    weights = (
-        (slope_var_x * c_x * skew_x - slope_mean_x * (kurt_x - 1.0))
-        / (2.0 * c_x * c_x * span_x),
-        (slope_mean_x * skew_x - slope_var_x * c_x) / (2.0 * c_x * span_x),
-        (slope_var_z * c_z * skew_z - slope_mean_z * (kurt_z - 1.0))
-        / (2.0 * c_z * c_z * span_z),
-        (slope_mean_z * skew_z - slope_var_z * c_z) / (2.0 * c_z * span_z),
+    return (
+        (2.0 * d(1, 2, 0) - r * (d(2, 1, 0) + d(0, 3, 0))) * c_x,
+        2.0 * d(1, 3, 0) - r * (d(2, 2, 0) + d(0, 4, 0)),
+        (2.0 * d(1, 1, 1) - r * (d(2, 0, 1) + d(0, 2, 1))) * c_z,
+        2.0 * d(1, 1, 2) - r * (d(2, 0, 2) + d(0, 2, 2)),
     )
-    return (slope_mean_x, slope_var_x, slope_mean_z, slope_var_z), weights
+
+
+def _axis_weights(slope_mean, slope_var, c, skew, kurt, span):
+    """Minimizer of one axis's quadratic: its 2x2 system solved in closed form."""
+    return (
+        (slope_var * c * skew - slope_mean * (kurt - 1.0)) / (2.0 * c * c * span),
+        (slope_mean * skew - slope_var * c) / (2.0 * c * span),
+    )
+
+
+def optimum_weights(d, c_x, c_z, slopes, span_x, span_z):
+    """The optimum adjustment weights times r, from scaled_slopes.
+
+    d, c_x and c_z are as in scaled_slopes, slopes is its result, and
+    span_x and span_z come from spread(); dividing by r gives the
+    weights, ordered as the slopes. Guarding r, c_x, c_z and the spans
+    against zero is the caller's job.
+    """
+    s1, s2, s3, s4 = slopes
+    x = _axis_weights(s1, s2, c_x, d(0, 3, 0), d(0, 4, 0), span_x)
+    return x + _axis_weights(s3, s4, c_z, d(0, 0, 3), d(0, 0, 4), span_z)
 
 
 def _sorted_rows(pool: np.ndarray) -> np.ndarray:
@@ -186,8 +198,8 @@ def draw_rows(
     never depend on the pool's contents, so all of them come from one
     vectorized call. Positions below n1 keep their index, and the at
     most n1 distinct targets beyond are relabelled onto slots
-    n1..2*n1-1, so the pool has min(N, 2*n1) slots: scratch is O(n1)
-    per replication whatever N is.
+    n1..2*n1-1, so the pool has 2*n1 slots: scratch is O(n1) per
+    replication whatever N is.
     """
     if not (2 <= n <= n1 <= N):
         raise InvalidParameter("need 2 <= n <= n1 <= N")
@@ -216,26 +228,22 @@ def draw_rows(
     k = k.view(np.int64)
     k += np.concatenate((np.arange(n1), np.arange(n)))[:, None]
 
-    # pool[slot, t] is the unit at that slot of replication t
+    # pool[slot, t] is the unit at that slot of replication t: rank each
+    # replication's distinct far targets with one sort of packed (target,
+    # step) keys, then point their steps at n1 + rank
     cols = np.arange(reps)
-    if N > 2 * n1:
-        # rank each replication's distinct far targets with one sort of
-        # packed (target, step) keys, then point their steps at n1 + rank
-        shift = (n1 - 1).bit_length()
-        keys = (k[:n1] << shift | np.arange(n1)[:, None]).T.copy()
-        keys.sort(axis=1)
-        target = keys >> shift
-        far = target >= n1
-        fresh = far.copy()
-        fresh[:, 1:] &= target[:, 1:] != target[:, :-1]
-        slot = np.where(far, n1 - 1 + np.cumsum(fresh, axis=1), target)
-        k[keys & ((1 << shift) - 1), cols[:, None]] = slot
-        pool = np.empty((2 * n1, reps), np.int64)
-        pool[:n1] = np.arange(n1)[:, None]
-        pool[slot, cols[:, None]] = target
-    else:
-        pool = np.empty((N, reps), np.int64)
-        pool[:] = np.arange(N)[:, None]
+    shift = (n1 - 1).bit_length()
+    keys = (k[:n1] << shift | np.arange(n1)[:, None]).T.copy()
+    keys.sort(axis=1)
+    target = keys >> shift
+    far = target >= n1
+    fresh = far.copy()
+    fresh[:, 1:] &= target[:, 1:] != target[:, :-1]
+    slot = np.where(far, n1 - 1 + np.cumsum(fresh, axis=1), target)
+    k[keys & ((1 << shift) - 1), cols[:, None]] = slot
+    pool = np.empty((2 * n1, reps), np.int64)
+    pool[:n1] = np.arange(n1)[:, None]
+    pool[slot, cols[:, None]] = target
 
     # swap on the flat pool: slot s of replication t sits at s*reps + t
     flat = pool.reshape(-1)
@@ -291,6 +299,15 @@ def moment_rows(y, x, z, triples):
     return means, sums, d
 
 
+def constant_rows(*columns):
+    """Rows over which any of the (rows, units) arrays takes one value.
+
+    PopulationFrame's min == max test. A zero sum of squared deviations
+    misses some: three 0.1 values have mean 0.10000000000000002.
+    """
+    return reduce(np.logical_or, ((c == c[:, :1]).all(axis=1) for c in columns))
+
+
 def first_phase_rows(
     x: np.ndarray,
     z: np.ndarray,
@@ -318,7 +335,7 @@ def first_phase_rows(
         sz2_1 = vz1 / (n1 - 1.0)
         rows = np.column_stack((xbar1, sx2_1, zbar1 / aux_zbar, sz2_1 / aux_sz2))
     flags = np.zeros(first.shape[0], np.uint8)
-    flags[(vx1 <= 0.0) | (vz1 <= 0.0)] = FLAG_DEGENERATE
+    flags[constant_rows(x1, z1) | (vx1 <= 0.0) | (vz1 <= 0.0)] = FLAG_DEGENERATE
     return rows, flags
 
 
@@ -338,10 +355,12 @@ def second_phase_rows(
     """
     y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
     n = second.shape[1]
-    (_, xbar, zbar), sums, std = moment_rows(
-        y[second], x[second], z[second], SAMPLE_TRIPLES
-    )
+    columns = (y[second], x[second], z[second])
+    (_, xbar, zbar), sums, std = moment_rows(*columns, SAMPLE_TRIPLES)
     m200, m020, m002 = (sums[t] for t in SECOND_ORDER_TRIPLES)
+
+    def d(p, q, m):
+        return std[p, q, m]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sy2 = m200 / (n - 1.0)
@@ -350,15 +369,10 @@ def second_phase_rows(
         r = (sums[1, 1, 0] / (n - 1.0)) / np.sqrt(sy2 * sx2)
         span_x, singular_x = spread(std[0, 4, 0], std[0, 3, 0])
         span_z, singular_z = spread(std[0, 0, 4], std[0, 0, 3])
-        _, weights = optimum_weights(
-            lambda p, q, m: std[p, q, m],
-            np.sqrt(sx2) / xbar,
-            np.sqrt(sz2) / zbar,
-            r,
-            span_x,
-            span_z,
-        )
-        rows = np.column_stack((r, xbar, sx2) + weights)
+        c_x, c_z = np.sqrt(sx2) / xbar, np.sqrt(sz2) / zbar
+        slopes = scaled_slopes(d, c_x, c_z, r)
+        weights = optimum_weights(d, c_x, c_z, slopes, span_x, span_z)
+        rows = np.column_stack((r, xbar, sx2) + tuple(e / r for e in weights))
         singular = (
             (xbar == 0.0)
             | (zbar == 0.0)
@@ -369,7 +383,8 @@ def second_phase_rows(
         )
     flags = np.zeros(second.shape[0], np.uint8)
     flags[singular] = FLAG_SINGULAR
-    flags[(m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)] = FLAG_DEGENERATE
+    degenerate = constant_rows(*columns) | (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)
+    flags[degenerate] = FLAG_DEGENERATE
     return rows, flags
 
 

@@ -7,12 +7,14 @@ corrections in N are applied. Sample sizes enter only through 1/n and
 1/n1.
 
 The design variance of any transformation-class estimator splits into
-three pieces: the variance of the plain sample correlation, a quadratic
-in the two x-adjustment coefficients scaled by (1/n - 1/n1), and a
-quadratic in the two z-adjustment coefficients scaled by 1/n1. Each
-quadratic is convex whenever the standardized-moment table is
-nondegenerate, so the optimal coefficients solve two independent 2x2
-linear systems and the minimized variance has a closed form.
+three pieces, all formed in _var_parts: the variance of the plain
+sample correlation, a quadratic in the two x-adjustment coefficients
+scaled by (1/n - 1/n1), and a quadratic in the two z-adjustment
+coefficients scaled by 1/n1. Each quadratic is convex whenever the
+standardized-moment table is nondegenerate, so the optimal coefficients
+solve two independent 2x2 linear systems (_kernels.optimum_weights,
+from the slopes of _kernels.scaled_slopes). The minimized variance is
+the class variance at those optimum weights.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ._kernels import ZERO_R_TOL, optimum_weights, spread
+from ._kernels import ZERO_R_TOL, optimum_weights, scaled_slopes, spread
 from .errors import (
     InvalidDesign,
     InvalidParameter,
@@ -79,6 +81,7 @@ class VarianceReport:
 def _check_sizes(n: int, n1: int) -> None:
     if not (2 <= n <= n1):
         raise InvalidDesign(f"need 2 <= n <= n1, got n={n}, n1={n1}")
+    check_float_size("n", n)
     check_float_size("n1", n1)
 
 
@@ -104,8 +107,9 @@ def _optimum_from_table(
     `d` returns standardized central moments; c_x, c_z, rho are the
     coefficients of variation and the correlation on the same footing.
     It serves exact population tables and sample estimates alike, and
-    the per-sample kernel runs the same optimum_weights, which keeps the
-    plug-in estimators consistent with the theory by construction.
+    the per-sample kernel runs the same scaled_slopes and
+    optimum_weights, which keeps the plug-in estimators consistent with
+    the theory by construction.
     """
     if abs(rho) < ZERO_R_TOL:
         raise ZeroCorrelation(
@@ -115,8 +119,9 @@ def _optimum_from_table(
     skew_z, kurt_z = d(0, 0, 3), d(0, 0, 4)
     span_x = _span_or_raise(kurt_x, skew_x, "x")
     span_z = _span_or_raise(kurt_z, skew_z, "z")
-    slopes, weights = optimum_weights(d, c_x, c_z, rho, span_x, span_z)
-    return OptimumConstants(*slopes, *weights)
+    slopes = scaled_slopes(d, c_x, c_z, rho)
+    weights = optimum_weights(d, c_x, c_z, slopes, span_x, span_z)
+    return OptimumConstants(*(v / rho for v in slopes + weights))
 
 
 def optimum_constants(m: MomentSet) -> OptimumConstants:
@@ -141,45 +146,40 @@ def var_r(m: MomentSet, n: int) -> float:
     return (m.d(2, 2, 0) + 0.25 * rho * rho * quartic - rho * cubic) / n
 
 
-def _scaled_slopes(m: MomentSet) -> tuple[float, float, float, float]:
-    """Slopes premultiplied by rho, finite for every rho including 0."""
-    rho = m.require("rho_yx")
-    sa = (2.0 * m.d(1, 2, 0) - rho * (m.d(2, 1, 0) + m.d(0, 3, 0))) * m.require("c_x")
-    sb = 2.0 * m.d(1, 3, 0) - rho * (m.d(2, 2, 0) + m.d(0, 4, 0))
-    sd = (2.0 * m.d(1, 1, 1) - rho * (m.d(2, 0, 1) + m.d(0, 2, 1))) * m.require("c_z")
-    sf = 2.0 * m.d(1, 1, 2) - rho * (m.d(2, 0, 2) + m.d(0, 2, 2))
-    return sa, sb, sd, sf
+def _axis_quad(e_mean, e_var, c, skew, kurt, slope_mean, slope_var):
+    """One axis's quadratic in its effective weights (e_mean, e_var)."""
+    return (
+        e_mean * e_mean * c * c
+        + e_var * e_var * (kurt - 1.0)
+        + 2.0 * e_mean * e_var * c * skew
+        + e_mean * slope_mean
+        + e_var * slope_var
+    )
 
 
-def _var_quad(m: MomentSet, n: int, n1: int, e: Sequence[float]) -> float:
-    """Design variance with effective adjustment weights e (rho-scaled).
+def _var_parts(
+    m: MomentSet, n: int, n1: int, e: Sequence[float]
+) -> tuple[float, float, float]:
+    """(var_r, x part, z part) of the design variance at effective weights e.
 
     e holds (rho * weight) for each of the four ratio adjustments, the
     parametrization under which the variance is a plain quadratic with
-    no rho in its coefficients.
+    no division by rho. The x part carries the design factor (1/n -
+    1/n1), the z part 1/n1. The caller checks the sizes.
     """
-    _check_sizes(n, n1)
     e1, e2, e3, e4 = (float(v) for v in e)
     c_x = m.require("c_x")
     c_z = m.require("c_z")
-    sa, sb, sd, sf = _scaled_slopes(m)
-    skew_x, kurt_x = m.d(0, 3, 0), m.d(0, 4, 0)
-    skew_z, kurt_z = m.d(0, 0, 3), m.d(0, 0, 4)
-    block_x = (
-        e1 * e1 * c_x * c_x
-        + e2 * e2 * (kurt_x - 1.0)
-        + 2.0 * e1 * e2 * c_x * skew_x
-        + e1 * sa
-        + e2 * sb
-    )
-    block_z = (
-        e3 * e3 * c_z * c_z
-        + e4 * e4 * (kurt_z - 1.0)
-        + 2.0 * e3 * e4 * c_z * skew_z
-        + e3 * sd
-        + e4 * sf
-    )
-    return var_r(m, n) + (1.0 / n - 1.0 / n1) * block_x + block_z / n1
+    sa, sb, sd, sf = scaled_slopes(m.d, c_x, c_z, m.require("rho_yx"))
+    quad_x = _axis_quad(e1, e2, c_x, m.d(0, 3, 0), m.d(0, 4, 0), sa, sb)
+    quad_z = _axis_quad(e3, e4, c_z, m.d(0, 0, 3), m.d(0, 0, 4), sd, sf)
+    return var_r(m, n), (1.0 / n - 1.0 / n1) * quad_x, quad_z / n1
+
+
+def _var_quad(m: MomentSet, n: int, n1: int, e: Sequence[float]) -> float:
+    """Design variance with effective adjustment weights e (rho-scaled)."""
+    _check_sizes(n, n1)
+    return sum(_var_parts(m, n, n1, e))
 
 
 def var_t_class(
@@ -218,34 +218,17 @@ def var_difference_class(
 def _variance_components(m: MomentSet, n: int, n1: int) -> tuple[float, float, float]:
     """(base, x-reduction, z-reduction) of the minimized variance.
 
-    The reductions are sums of squares over positive denominators, so
-    they are nonnegative whenever the moment table is nondegenerate;
-    that makes the no-info / x-info / x-and-z-info variance ordering
-    structural rather than numerical.
+    The parts of var_t_class at the optimum weights, the x and z parts
+    negated, so the minimized variances equal var_t_class and
+    var_h_class at optimum_constants bit for bit. Each reduction is the
+    drop of a convex quadratic to its minimum, so it is nonnegative up
+    to rounding whenever the moment table is nondegenerate.
     """
     _check_sizes(n, n1)
-    if abs(m.require("rho_yx")) < ZERO_R_TOL:
-        raise ZeroCorrelation(
-            "minimized variances are undefined at zero correlation: the "
-            "optimal weights diverge"
-        )
-    c_x = m.require("c_x")
-    c_z = m.require("c_z")
-    skew_x, kurt_x = m.d(0, 3, 0), m.d(0, 4, 0)
-    skew_z, kurt_z = m.d(0, 0, 3), m.d(0, 0, 4)
-    span_x = _span_or_raise(kurt_x, skew_x, "x")
-    span_z = _span_or_raise(kurt_z, skew_z, "z")
-    sa, sb, sd, sf = _scaled_slopes(m)
-    base = var_r(m, n)
-    red_x = (1.0 / n - 1.0 / n1) * (
-        sa * sa / (4.0 * c_x * c_x)
-        + ((sa / c_x) * skew_x - sb) ** 2 / (4.0 * span_x)
-    )
-    red_z = (
-        sd * sd / (4.0 * c_z * c_z)
-        + ((sd / c_z) * skew_z - sf) ** 2 / (4.0 * span_z)
-    ) / n1
-    return base, red_x, red_z
+    rho = m.require("rho_yx")
+    e = [rho * w for w in optimum_constants(m).weights()]
+    base, part_x, part_z = _var_parts(m, n, n1, e)
+    return base, 0.0 - part_x, 0.0 - part_z  # a zero reduction is +0.0, not -0.0
 
 
 def min_var_hd(m: MomentSet, n: int, n1: int) -> float:
@@ -263,8 +246,8 @@ def min_var_td(m: MomentSet, n: int, n1: int) -> float:
 def variance_gap(m: MomentSet, n: int, n1: int) -> float:
     """How much the known z moments lower the minimized variance.
 
-    This is the z reduction of the closed form, min_var_hd - min_var_td
-    up to the rounding of that subtraction.
+    This is the z reduction, min_var_hd - min_var_td up to the rounding
+    of that subtraction.
     """
     return _variance_components(m, n, n1)[2]
 
@@ -294,10 +277,9 @@ def efficiency_report(
     disagreement beyond half a point is spelled out in the notes. The
     published numbers are carried through verbatim either way.
     """
-    base = var_r(m, n)
-    hd = min_var_hd(m, n, n1)
-    td = min_var_td(m, n, n1)
-    gap = variance_gap(m, n, n1)
+    base, red_x, gap = _variance_components(m, n, n1)
+    hd = base - red_x
+    td = hd - gap
     pre_hd = pre(base, hd)
     pre_td = pre(base, td)
     notes = list(m.notes)

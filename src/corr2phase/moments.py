@@ -21,7 +21,7 @@ Exponent order is (p, q, m) = (y, x, z) everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -68,14 +68,14 @@ DELTA_TRIPLES: tuple[tuple[int, int, int], ...] = (
 _IDENTITY_TRIPLES = _kernels.SECOND_ORDER_TRIPLES
 _TABLE_TRIPLES = tuple(t for t in DELTA_TRIPLES if t not in _IDENTITY_TRIPLES)
 
-_TRIPLE_NAMES = {t: f"d_{t[0]}{t[1]}{t[2]}" for t in DELTA_TRIPLES}
-_NAME_TRIPLES = {v: k for k, v in _TRIPLE_NAMES.items()}
-
 
 def delta_name(triple: tuple[int, int, int]) -> str:
     """Return the flat key used for a standardized moment, e.g. d_220."""
     p, q, m = triple
     return f"d_{p}{q}{m}"
+
+
+_NAME_TRIPLES = {delta_name(t): t for t in DELTA_TRIPLES}
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,6 @@ class MomentSet:
                 f"{delta_name((p, q, m))} is required but was not supplied"
             ) from None
 
-    def has(self, p: int, q: int, m: int) -> bool:
-        return (p, q, m) in self.delta
-
     def require(self, name: str) -> float:
         """Fetch a scalar field, raising a specific error when unavailable."""
         value = getattr(self, name)
@@ -167,9 +164,6 @@ class MomentSet:
                     f"coefficient of variation {name} is undefined: the mean is zero"
                 )
         raise MissingParameter(f"{name} is required but was not supplied")
-
-    def with_notes(self, *extra: str) -> "MomentSet":
-        return replace(self, notes=self.notes + tuple(extra))
 
 
 def _finite(name: str, value: float) -> float:
@@ -359,9 +353,11 @@ def moments_from_params(
         value = scalars[key]
         if value is not None and value == 0.0:
             raise InvalidParameter(f"{key[0].upper() + key[1:]} must be nonzero")
+    # population_moments can round a correlation an ulp past 1, so the
+    # range check allows the same slack as the kurtosis bound below.
     for key in ("rho_yx", "rho_xz", "rho_yz"):
         value = scalars[key]
-        if value is not None and abs(value) > 1.0:
+        if value is not None and abs(value) > 1.0 + 1e-12:
             raise InvalidParameter(f"{key} must lie in [-1, 1]")
 
     # Derive a missing C from S2 and a nonzero mean.

@@ -182,8 +182,9 @@ def sample_statistics(
     the plug-in weights equal a stats_rows row bit for bit, and a census
     sample reproduces population_moments.
 
-    Raises DegenerateSample when any variance that the ratios divide by
-    is zero: y, x, z within the second phase, or x, z within the first;
+    Raises DegenerateSample when a variable that the ratios divide by
+    is constant or has zero variance: y, x, z within the second phase,
+    or x, z within the first, as the kernels flag FLAG_DEGENERATE;
     SingularDenominator when the first-phase mean of x is zero. Data at
     the edge of float64 fails with InvalidParameter naming the first
     variance or d_pqm that is not finite, as population_moments does.
@@ -200,12 +201,11 @@ def sample_statistics(
     _finite("sample s2_z_first", s2_z_first)
 
     second = sample.second_phase[None]
-    means, sums, d = _kernels.moment_rows(
-        frame.y[second], frame.x[second], frame.z[second], _kernels.SAMPLE_TRIPLES
-    )
+    columns = (frame.y[second], frame.x[second], frame.z[second])
+    means, sums, d = _kernels.moment_rows(*columns, _kernels.SAMPLE_TRIPLES)
     ybar, xbar, zbar = (float(mean[0]) for mean in means)
     m200, m020, m002 = (float(sums[t][0]) for t in _kernels.SECOND_ORDER_TRIPLES)
-    if min(m200, m020, m002) <= 0.0:
+    if min(m200, m020, m002) <= 0.0 or _kernels.constant_rows(*columns)[0]:
         raise DegenerateSample("a second-phase variable is constant in the sample")
     if min(s2_x_first, s2_z_first) <= 0.0:
         raise DegenerateSample("a first-phase auxiliary is constant in the sample")

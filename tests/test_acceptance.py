@@ -113,7 +113,7 @@ def test_criterion_3_gap_identity_and_ordering():
         worst_gap_err = max(worst_gap_err, abs(gap - (hd - td)))
     report(
         3,
-        "100 populations ordered, max |closed form - subtraction| "
+        "100 populations ordered, max |z reduction - subtraction| "
         f"{worst_gap_err:.2e} <= 1e-12",
     )
 

@@ -92,9 +92,20 @@ class TestVarianceLadder:
         m = published_moments
         w = c2p.optimum_constants(m).weights()
         at_opt = c2p.var_t_class(m, PUB_N, PUB_N1, w)
-        assert at_opt == pytest.approx(
-            c2p.min_var_td(m, PUB_N, PUB_N1), rel=1e-12
-        )
+        assert at_opt == c2p.min_var_td(m, PUB_N, PUB_N1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n, n1", [(2, 3), (10, 25), (20, 60), (100, 300)])
+    def test_minimum_is_class_variance_at_optimum(self, seed, n, n1):
+        m = c2p.population_moments(c2p.random_population(300, seed=seed))
+        w = c2p.optimum_constants(m).weights()
+        td = c2p.var_t_class(m, n, n1, w)
+        hd = c2p.var_h_class(m, n, n1, w[:2])
+        assert c2p.min_var_td(m, n, n1) == td
+        assert c2p.min_var_hd(m, n, n1) == hd
+        report = c2p.efficiency_report(m, n, n1)
+        assert (report.var_td_min, report.var_hd_min) == (td, hd)
+        assert report.gap == c2p.variance_gap(m, n, n1)
 
     @pytest.mark.parametrize("coord", range(4))
     def test_perturbed_weights_lie_above_minimum(self, coord, published_moments):

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import warnings
 from io import StringIO
 
@@ -717,3 +718,14 @@ class TestGoldenReports:
         assert code == 0, err
         with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8", newline="") as fh:
             assert out == fh.read()
+
+
+class TestReadme:
+    def test_quickstart_runs_as_written(self, capsys):
+        with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 5
+        assert all(math.isfinite(float(v)) for line in printed for v in line.split())

@@ -82,7 +82,7 @@ class TestRngContract:
     @pytest.mark.parametrize(
         "N, n1, n, reps, seed, rep_lo",
         [
-            (10, 6, 3, 40, 7, 0),  # N <= 2*n1: the pool is the population
+            (10, 6, 3, 40, 7, 0),  # N <= 2*n1: fewer far units than spare slots
             (500, 400, 100, 4, 8, 0),
             (60, 12, 5, 500, 9, 0),  # far targets collide often
             (100_000, 400, 100, 3, 10, 0),
@@ -149,6 +149,20 @@ class TestStatsRows:
         )
         assert flags[0] == K.FLAG_DEGENERATE
         assert np.isnan(rows[0, K.COL_R])
+
+    def test_constant_off_its_rounded_mean_flagged_degenerate(self):
+        # three 0.1 values have mean 0.10000000000000002, so the sum of
+        # their squared deviations is not zero
+        v = np.array([0.1, 0.1, 0.1, 4.0, 5.0, 9.0])
+        other = np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0])
+        sets = np.array([[0, 1, 2], [0, 1, 3]])
+        for x, z in ((v, other), (other, v)):
+            _, flags = K.first_phase_rows(x, z, sets, 1.0, 1.0)
+            assert flags.tolist() == [K.FLAG_DEGENERATE, 0]
+        for y, x, z in ((v, other, other), (other, v, other), (other, other, v)):
+            _, flags = K.second_phase_rows(y, x, z, sets)
+            assert flags[0] == K.FLAG_DEGENERATE
+            assert flags[1] != K.FLAG_DEGENERATE
 
     def test_two_point_second_phase_flags_singular_only(self):
         frame_y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 9.0])

@@ -130,6 +130,19 @@ class TestParamsDocuments:
         for field in SIX_SCALARS:
             assert getattr(again, field) == getattr(m, field), field
 
+    def test_round_trip_keeps_correlation_rounded_past_one(self):
+        spread = np.linspace(0.0, 1.0, 8)
+        x = np.array([0.0, 1.0, 0.0, 6.5, 0.0, 1.0, 0.0, 0.0]) + spread
+        z = x.copy()
+        z[-1] -= 1e-12
+        m = c2p.population_moments(frame_from(spread, x, z))
+        assert m.rho_xz == 1.0000000000000002
+        again = c2p.moments_from_params(c2p.moments_to_params(m))
+        assert again.rho_xz == m.rho_xz
+        assert again.delta == m.delta
+        with pytest.raises(InvalidParameter, match="rho_xz must lie"):
+            c2p.moments_from_params({"rho_xz": 1.000001})
+
     def test_published_fixture_loads(self, published_params, published_moments):
         m = published_moments
         assert m.rho_yx == 0.9136

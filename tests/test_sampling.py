@@ -206,6 +206,23 @@ class TestSampleStatistics:
         with pytest.raises(DegenerateSample):
             c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(frame))
 
+    def test_constant_off_its_rounded_mean_raises(self):
+        # three 0.1 values have mean 0.10000000000000002, so the sum of
+        # their squared deviations is not zero
+        frame = c2p.PopulationFrame(
+            y=np.array([0.1, 0.1, 0.1, 4.0, 5.0, 9.0]),
+            x=np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0]),
+            z=np.array([1.0, 3.0, 2.0, 5.0, 4.0, 8.0]),
+        )
+        design = c2p.DesignSpec(N=6, n1=4, n=3)
+        sample = c2p.TwoPhaseSample(
+            design=design,
+            first_phase=np.array([0, 1, 2, 3]),
+            second_phase=np.array([0, 1, 2]),
+        )
+        with pytest.raises(DegenerateSample):
+            c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(frame))
+
     def test_zero_first_phase_mean_raises(self):
         frame = c2p.PopulationFrame(
             y=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 9.0]),
