@@ -446,15 +446,23 @@ def stats_rows(
     )
 
 
-def subset_ranker(N: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Rank function of sorted n-subsets of range(N).
+def subset_ranker(N: int, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Rank function of sorted n-subsets of range(N), picked by patterns.
 
-    The returned function maps index rows (any leading shape, last axis
-    n, ascending) to their positions in itertools.combinations(range(N),
-    n). The lexicographic rank of c_0 < ... < c_{n-1} is
-    C(N, n) - 1 - sum_i C(N-1-c_i, n-i); since c_i - i lies in [0, N-n],
-    the table holds only those terms, each at most C(N-1, n), so int64
-    suffices whenever C(N, n) does.
+    The rank of c_0 < ... < c_{n-1} is its position in
+    itertools.combinations(range(N), n), C(N, n) - 1 - sum_i
+    C(N-1-c_i, n-i); since c_i - i lies in [0, N-n], the table holds
+    only those terms, each at most C(N-1, n), so int64 suffices whenever
+    C(N, n) does.
+
+    The returned rank(sets, patterns) takes ascending index rows (any
+    leading shape, last axis m >= n) and (k, n) ascending position rows,
+    such as those of itertools.combinations(range(m), n), and returns
+    the ranks of sets[..., patterns] with shape (..., k) without
+    gathering those subsets: place i of a pattern can only hold one of
+    the m - n + 1 positions i, ..., i + m - n, so the table terms of
+    those positions are looked up once and then gathered per pattern.
+    The identity pattern np.arange(n)[None] ranks the rows themselves.
     """
     table = np.array(
         [[math.comb(N - 1 - i - e, n - i) for e in range(N - n + 1)] for i in range(n)],
@@ -462,10 +470,11 @@ def subset_ranker(N: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
     )
     top = math.comb(N, n) - 1
 
-    def rank(sets: np.ndarray) -> np.ndarray:
-        out = np.full(sets.shape[:-1], top, np.int64)
+    def rank(sets: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        span = sets.shape[-1] - n + 1
+        out = np.full(sets.shape[:-1] + patterns.shape[:1], top, np.int64)
         for i in range(n):
-            out -= table[i].take(sets[..., i] - i)
+            out -= table[i].take(sets[..., i : i + span] - i)[..., patterns[:, i] - i]
         return out
 
     return rank

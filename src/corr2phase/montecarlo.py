@@ -3,7 +3,7 @@
 Replication t of a run is a pure function of (seed, t), so results are
 independent of chunking and of how many worker threads execute the
 chunks: every replication writes to its own slot and the final
-aggregation uses exact compensated sums in slot order. simulate() with
+aggregation uses correctly rounded sums, whatever the order. simulate() with
 workers=1 and workers=8 therefore returns bit-identical results.
 
 simulate() sizes its chunks by n1, because the draw and the statistics
@@ -122,33 +122,74 @@ def analytic_variance_for(
         return None
 
 
+# Terms per pass of _sum: each bin then adds at most 2**26 halves of
+# 53-bit mantissas, so every float64 partial sum stays exact.
+SUM_BLOCK = 1 << 26
+_SIGN = -(1 << 63)  # bit masks of a float64 viewed as int64
+_FRACTION = (1 << 52) - 1
+
+
 def _sum(terms: np.ndarray) -> float:
-    """Exact sum of an aggregate; NonFiniteEstimate if it overflows."""
-    try:
-        total = math.fsum(terms.tolist())
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise NonFiniteEstimate(
-            f"a sum over {terms.shape[0]} kept replications overflows a float"
-        )
-    return total
+    """Correctly rounded sum of float64 terms, whatever their order.
+
+    Each term is a signed 53-bit integer mantissa times a power of two.
+    The mantissas are split into a high 26-bit and a low 27-bit half,
+    and each half is summed per sign and exponent with bincount. No
+    partial sum then needs more than 53 significant bits, so the float
+    sums are exact. The few non-empty bins are added as Python ints,
+    and the total, an integer multiple of 2**-1074, is rounded once by
+    int true division (exact summation by exponent, Demmel & Hida 2003).
+    The result equals math.fsum of the terms, except that a finite total
+    is returned where fsum raises on an intermediate overflow.
+    NonFiniteEstimate if a term is not finite or the total overflows.
+    """
+    bits = np.ascontiguousarray(terms, dtype=np.float64).view(np.int64)
+    total = 0
+    for lo in range(0, bits.shape[0], SUM_BLOCK):
+        block = bits[lo : lo + SUM_BLOCK]
+        key = block >> 52
+        key &= 0xFFF  # sign and biased exponent
+        # the mantissa with its implicit bit, and its high half, as
+        # integral floats: the exponent field set to that of 2**52
+        whole = block & (_SIGN | _FRACTION)
+        whole |= 1075 << 52
+        high = block & (_SIGN | _FRACTION & -(1 << 27))
+        high |= 1075 << 52
+        high = high.view(np.float64)
+        low = whole.view(np.float64)
+        low -= high
+        high_sums = np.bincount(key, weights=high)
+        if high_sums[0x7FF::0x800].any():  # an inf or NaN term
+            break
+        low_sums = np.bincount(key, weights=low)
+        for k in np.flatnonzero(high_sums).tolist():
+            e = k & 0x7FF
+            mantissas = int(high_sums[k]) + int(low_sums[k])
+            if e == 0:
+                # zeros and subnormals have no implicit bit to count
+                extra = int(np.count_nonzero(key == k)) << 52
+                mantissas += extra if k & 0x800 else -extra
+            total += mantissas << max(e - 1, 0)
+    else:
+        try:
+            return total / (1 << 1074)
+        except OverflowError:
+            pass
+    raise NonFiniteEstimate(
+        f"a sum over {bits.shape[0]} kept replications overflows a float"
+    )
 
 
 def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
-    used = codes == SKIP_OK
-    k = int(np.count_nonzero(used))
+    counts = np.bincount(codes, minlength=max(SKIP_LABELS) + 1).tolist()
+    k = counts[SKIP_OK]
     total = values.shape[0]
-    reasons: dict[str, int] = {}
-    for code, label in SKIP_LABELS.items():
-        count = int(np.count_nonzero(codes == code))
-        if count:
-            reasons[label] = count
+    reasons = {label: counts[code] for code, label in SKIP_LABELS.items() if counts[code]}
     if k == 0:
         raise AllSamplesDegenerate(
             f"all {total} replications were skipped: {reasons}"
         )
-    kept = values[used]
+    kept = values[codes == SKIP_OK]
     # an overflowing square makes its sum non-finite, which _sum reports
     with np.errstate(over="ignore"):
         mean = _sum(kept) / k
@@ -345,7 +386,7 @@ def enumerate_exact(
             _kernels.first_phase_rows(frame.x, frame.z, fblock, aux.zbar, aux.sz2),
             (second_rows, second_flags),
             np.repeat(np.arange(b), k2),
-            rank(fblock[:, patterns]).reshape(b * k2),
+            rank(fblock, patterns).reshape(b * k2),
         )
         vals, cds = evaluate_rows(spec, rows, flags)
         values[i * k2 : i * k2 + b * k2] = vals

@@ -321,12 +321,21 @@ class TestSubsetRanker:
     @pytest.mark.parametrize("N, n", [(6, 3), (14, 6), (12, 12), (9, 1), (70, 68)])
     def test_ranks_follow_itertools_order(self, N, n):
         sets = np.array(list(itertools.combinations(range(N), n)))
-        assert np.array_equal(K.subset_ranker(N, n)(sets), np.arange(len(sets)))
+        ranks = K.subset_ranker(N, n)(sets, np.arange(n)[None])[..., 0]
+        assert np.array_equal(ranks, np.arange(len(sets)))
 
     def test_leading_axes_are_kept(self):
         sets = np.array(list(itertools.combinations(range(8), 3)))
-        ranks = K.subset_ranker(8, 3)(sets.reshape(4, 14, 3))
+        ranks = K.subset_ranker(8, 3)(sets.reshape(4, 14, 3), np.arange(3)[None])[..., 0]
         assert np.array_equal(ranks, np.arange(56).reshape(4, 14))
+
+    @pytest.mark.parametrize("N, m, n", [(14, 10, 6), (9, 7, 2), (10, 10, 4), (8, 5, 5), (7, 4, 1)])
+    def test_patterns_rank_the_subsets_they_pick(self, N, m, n):
+        sets = np.array(list(itertools.combinations(range(N), m)))
+        patterns = np.array(list(itertools.combinations(range(m), n)))
+        position = {c: i for i, c in enumerate(itertools.combinations(range(N), n))}
+        expected = [[position[tuple(row[p])] for p in patterns] for row in sets]
+        assert np.array_equal(K.subset_ranker(N, n)(sets, patterns), expected)
 
 
 class TestBackendPlumbing:

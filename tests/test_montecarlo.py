@@ -1,12 +1,15 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corr2phase as c2p
-from corr2phase import _kernels
+from corr2phase import _kernels, montecarlo
 from corr2phase.errors import (
     AllSamplesDegenerate,
     Corr2PhaseError,
@@ -22,6 +25,7 @@ from corr2phase.montecarlo import (
     _aggregate,
     _check_skip_budget,
     _standard_errors,
+    _sum,
     analytic_variance_for,
 )
 
@@ -352,6 +356,129 @@ class TestSimulation:
         frame = c2p.random_population(16, seed=3)
         with pytest.raises(NonFiniteEstimate, match="overflows"):
             c2p.enumerate_exact(frame, c2p.DesignSpec(16, 8, 4), "td-star:power")
+
+
+MAX = sys.float_info.max
+# Exact totals, in units of 2**-1074, from this magnitude up round
+# beyond MAX: the midpoint to 2**1024 rounds to even, which is 2**1024.
+OVERFLOW_UNITS = (2**1024 - 2**970) << 1074
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def _exact_units(terms: np.ndarray) -> int:
+    """The exact sum of float terms as an integer multiple of 2**-1074."""
+    return sum(p * ((1 << 1074) // q) for p, q in map(float.as_integer_ratio, terms.tolist()))
+
+
+@st.composite
+def _finite_terms(draw):
+    """Finite float64 arrays: any exponent, subnormals, signed zeros,
+    terms near MAX, and exact cancellations (x, -x)."""
+    atoms = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+    edges = draw(st.lists(
+        st.sampled_from([MAX, -MAX, np.nextafter(MAX, 0), 2.0**1023, -(2.0**1023),
+                         2.0**970, 5e-324, -5e-324, 2.0**-1022, 0.0, -0.0]),
+        max_size=6,
+    ))
+    n = draw(st.integers(0, 3000))
+    lo = draw(st.integers(-1100, 1000))
+    hi = draw(st.integers(lo, 1000))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    bulk = np.ldexp(rng.standard_normal(n), rng.integers(lo, hi + 1, n))
+    terms = np.concatenate([atoms, edges, bulk])
+    cancel = draw(st.integers(0, terms.shape[0]))
+    terms = np.concatenate([terms, -terms[:cancel]])
+    rng.shuffle(terms)
+    return terms
+
+
+class TestExactSum:
+    """_sum is correctly rounded, so it equals math.fsum bit for bit
+    wherever fsum gives an answer."""
+
+    @given(terms=_finite_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fsum(self, terms):
+        exact = _exact_units(terms)
+        if abs(exact) >= OVERFLOW_UNITS:
+            with pytest.raises(NonFiniteEstimate, match="overflows"):
+                _sum(terms)
+            return
+        got = _sum(terms)
+        try:
+            assert _bits(got) == _bits(math.fsum(terms.tolist()))
+        except OverflowError:
+            # fsum gives up on an intermediate overflow; the exact total
+            # is finite, and _sum returns it rounded
+            assert got == exact / (1 << 1074)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [math.inf],
+            [-math.inf],
+            [math.nan],
+            [1.0, math.inf, -math.inf],
+            [MAX, -MAX, -math.nan],
+            [MAX, MAX],
+            [MAX, 2.0**970],  # a tie that rounds to even: 2**1024
+            [-MAX, -(2.0**1000)],
+        ],
+    )
+    def test_non_finite_terms_and_totals_raise(self, terms):
+        with pytest.raises(NonFiniteEstimate, match="overflows"):
+            _sum(np.array(terms))
+
+    def test_largest_finite_total(self):
+        assert _sum(np.array([MAX, 2.0**970 - 2.0**917])) == MAX
+        assert _sum(np.array([-MAX, -(2.0**969)])) == -MAX
+
+    def test_intermediate_overflow_is_summed(self):
+        # fsum overflows while adding although the exact sum is 1e308
+        terms = np.array([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum(terms.tolist())
+        assert _sum(terms) == 1e308
+
+    @pytest.mark.parametrize(
+        "terms", [[], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [-5e-324, 5e-324]]
+    )
+    def test_zero_sums_are_positive_zero(self, terms):
+        # as math.fsum gives on Python 3.11
+        assert _bits(_sum(np.array(terms))) == _bits(0.0)
+
+    def test_blocks(self, monkeypatch):
+        # small blocks exercise the multi-block path and its seams
+        rng = np.random.Generator(np.random.PCG64(31))
+        arrays = [
+            0.9 + 0.01 * rng.standard_normal(1000),
+            np.ldexp(rng.standard_normal(1000), rng.integers(-1080, 1000, 1000)),
+            np.array([1e308, 1e308, -1e308, -1e308, 5e-324, -0.0, 2.0**-1030, 1.0]),
+        ]
+        want = [_exact_units(terms) / (1 << 1074) for terms in arrays]
+        monkeypatch.setattr(montecarlo, "SUM_BLOCK", 3)
+        for terms, expect in zip(arrays, want):
+            assert _bits(_sum(terms)) == _bits(expect)
+        with pytest.raises(NonFiniteEstimate):
+            _sum(np.array([1.0, 2.0, 3.0, 4.0, math.nan]))
+        with pytest.raises(NonFiniteEstimate):
+            _sum(np.array([MAX, 1.0, 2.0, MAX]))
+
+    def test_skip_reasons_keep_label_order(self):
+        codes = np.array([5, 3, 0, 1, 3, 2, 0, 4, 5], np.uint8)
+        k, skipped, reasons, mean, mse = _aggregate(np.arange(9.0), codes, 0.5)
+        assert (k, skipped) == (2, 7)
+        assert list(reasons.items()) == [
+            ("degenerate_sample", 1),
+            ("nonfinite_value", 1),
+            ("singular_plugin_constants", 2),
+            ("nonpositive_ratio", 1),
+            ("singular_denominator", 2),
+        ]
+        assert (mean, mse) == (4.0, ((2.0 - 0.5) ** 2 + (6.0 - 0.5) ** 2) / 2)
 
 
 @pytest.fixture(scope="module")
