@@ -9,9 +9,10 @@ arrays.
 
 The statistics of a two-phase pair split by phase: first_phase_rows
 reads only the first-phase set, second_phase_rows only the second, and
-pair_rows joins them for index vectors (i1, i2). stats_rows pairs row t
-with row t; exact enumeration computes each distinct set once and
-pairs them by subset rank (subset_ranker).
+pair_rows joins them, broadcasting each first-phase row over the ranks
+of the second-phase sets it is paired with. stats_rows pairs row t with
+row t; exact enumeration computes each distinct set once and pairs a
+block of first-phase sets with their subsets by rank (subset_ranker).
 
 moment_rows is the one place that computes means, sums of products and
 standardized moments d_pqm, over (rows x units) arrays: the gathered
@@ -388,36 +389,46 @@ def second_phase_rows(
     return rows, flags
 
 
-def pair_rows(first_stats, second_stats, i1, i2) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics rows of the two-phase pairs (first set i1, second set i2).
+def pair_rows(first_stats, second_stats, i2) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics rows of the two-phase pairs that i2 spells out.
 
     first_stats and second_stats are the (rows, flags) results of
-    first_phase_rows and second_phase_rows; i1 and i2 are equal-length
-    index arrays into them. Returns (rows, flags) in the stats_rows
-    layout.
+    first_phase_rows and second_phase_rows. i2 is a (b, k) array of
+    second-phase row indices: row t * k + j pairs first-phase row t with
+    second-phase row i2[t, j]. The first-phase columns are broadcast
+    over each row's k indices, not gathered per pair. Returns (rows,
+    flags) in the stats_rows layout; rows is the F-ordered view of a
+    (NCOLS, b * k) array, so each column is contiguous.
     """
-    f = first_stats[0].take(i1, axis=0)
-    s = second_stats[0].take(i2, axis=0)
-    second_flags = second_stats[1].take(i2)
-    degenerate = ((first_stats[1].take(i1) | second_flags) & FLAG_DEGENERATE) != 0
-    out = np.empty((f.shape[0], NCOLS))
-    out[:, COL_R] = s[:, 0]
+    first, first_flags = first_stats
+    second, second_flags = second_stats
+    b, k = i2.shape
+    out = np.empty((NCOLS, b, k))
+    # the second_phase_rows columns, in order; mode="clip" lets take
+    # write to out unbuffered, and the indices are in range anyway
+    for col, src in zip((COL_R, COL_U, COL_V, COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA),
+                        range(SECOND_COLS)):
+        np.take(second[:, src], i2, out=out[col], mode="clip")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(s[:, 1], f[:, 0], out=out[:, COL_U])
-        np.divide(s[:, 2], f[:, 1], out=out[:, COL_V])
-    out[:, COL_W : COL_A + 1] = f[:, 2:]
-    out[:, COL_ALPHA:] = s[:, 3:]
-    finite = reduce(np.logical_and, (np.isfinite(out[:, c]) for c in range(COL_A + 1)))
+        out[COL_U] /= first[:, 0, None]
+        out[COL_V] /= first[:, 1, None]
+    out[COL_W] = first[:, 2, None]
+    out[COL_A] = first[:, 3, None]
+    pair_flags = second_flags.take(i2)
+    degenerate = ((first_flags[:, None] | pair_flags) & FLAG_DEGENERATE) != 0
+    finite = reduce(np.logical_and, (np.isfinite(out[c]) for c in (COL_R, COL_U, COL_V)))
+    finite &= np.isfinite(first[:, 2:]).all(axis=1)[:, None]  # w and a
     nonfinite = ~finite & ~degenerate
-    singular = (second_flags == FLAG_SINGULAR) & ~(degenerate | nonfinite)
-    out[degenerate | nonfinite, :] = np.nan
-    out[singular, COL_ALPHA:] = np.nan
+    singular = (pair_flags == FLAG_SINGULAR) & ~(degenerate | nonfinite)
 
-    flags = np.zeros(out.shape[0], np.uint8)
-    flags[degenerate] = FLAG_DEGENERATE
-    flags[nonfinite] = FLAG_NONFINITE
-    flags[singular] = FLAG_SINGULAR
-    return out, flags
+    flags = np.zeros(b * k, np.uint8)
+    flags[degenerate.reshape(-1)] = FLAG_DEGENERATE
+    flags[nonfinite.reshape(-1)] = FLAG_NONFINITE
+    flags[singular.reshape(-1)] = FLAG_SINGULAR
+    out = out.reshape(NCOLS, b * k)
+    out[:, np.flatnonzero(flags & (FLAG_DEGENERATE | FLAG_NONFINITE))] = np.nan
+    out[COL_ALPHA:, np.flatnonzero(flags == FLAG_SINGULAR)] = np.nan
+    return out.T, flags
 
 
 def stats_rows(
@@ -437,12 +448,10 @@ def stats_rows(
     SINGULAR still carry valid r, u, v, w, a. Draw t pairs first[t] with
     second[t]: the two phase passes, then pair_rows row by row.
     """
-    rows = np.arange(first.shape[0])
     return pair_rows(
         first_phase_rows(x, z, first, aux_zbar, aux_sz2),
         second_phase_rows(y, x, z, second),
-        rows,
-        rows,
+        np.arange(first.shape[0])[:, None],
     )
 
 
@@ -487,6 +496,8 @@ def chunk_rows(width: int, cap: int = 16384) -> int:
     call then holds about 4e6 of them (32 MB), and at most cap rows.
     simulate passes SCRATCH_PER_N1 * n1, the draw and the stats kernel
     together; enumerate_exact passes SCRATCH_PER_N1 * n for its
-    second-phase sets and N for its blocks of pairs.
+    second-phase sets and N for its blocks of pairs, each block holding
+    whole first-phase sets with all their second-phase subsets, so its
+    memory is O(block) whatever the number of pairs.
     """
     return max(1, min(cap, 4_000_000 // max(width, 1)))

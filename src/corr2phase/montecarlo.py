@@ -11,8 +11,11 @@ kernel need O(n1) scratch per replication; its cost per replication
 does not grow with the population size N.
 
 enumerate_exact() computes the statistics of each distinct phase once:
-C(N, n1) first-phase sets and C(N, n) second-phase sets, then one
-gather per pair of the C(N, n1) * C(n1, n) pairs.
+C(N, n1) first-phase sets and C(N, n) second-phase sets. It then
+streams the C(N, n1) * C(n1, n) pairs block by block: each first-phase
+row is broadcast over the ranks of its second-phase subsets, and each
+block is evaluated and added to exact totals before the next is formed,
+so it holds O(block) memory whatever the number of pairs.
 
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
@@ -122,26 +125,23 @@ def analytic_variance_for(
         return None
 
 
-# Terms per pass of _sum: each bin then adds at most 2**26 halves of
-# 53-bit mantissas, so every float64 partial sum stays exact.
+# Terms per pass of _exact_total: each bin then adds at most 2**26
+# halves of 53-bit mantissas, so every float64 partial sum stays exact.
 SUM_BLOCK = 1 << 26
 _SIGN = -(1 << 63)  # bit masks of a float64 viewed as int64
 _FRACTION = (1 << 52) - 1
 
 
-def _sum(terms: np.ndarray) -> float:
-    """Correctly rounded sum of float64 terms, whatever their order.
+def _exact_total(terms: np.ndarray) -> int | None:
+    """The exact sum of float64 terms, in units of 2**-1074; None if a term is not finite.
 
     Each term is a signed 53-bit integer mantissa times a power of two.
     The mantissas are split into a high 26-bit and a low 27-bit half,
     and each half is summed per sign and exponent with bincount. No
     partial sum then needs more than 53 significant bits, so the float
-    sums are exact. The few non-empty bins are added as Python ints,
-    and the total, an integer multiple of 2**-1074, is rounded once by
-    int true division (exact summation by exponent, Demmel & Hida 2003).
-    The result equals math.fsum of the terms, except that a finite total
-    is returned where fsum raises on an intermediate overflow.
-    NonFiniteEstimate if a term is not finite or the total overflows.
+    sums are exact. The few non-empty bins are added as Python ints
+    (exact summation by exponent, Demmel & Hida 2003). Totals of
+    separate pieces of an array add up to the total of the whole.
     """
     bits = np.ascontiguousarray(terms, dtype=np.float64).view(np.int64)
     total = 0
@@ -160,7 +160,7 @@ def _sum(terms: np.ndarray) -> float:
         low -= high
         high_sums = np.bincount(key, weights=high)
         if high_sums[0x7FF::0x800].any():  # an inf or NaN term
-            break
+            return None
         low_sums = np.bincount(key, weights=low)
         for k in np.flatnonzero(high_sums).tolist():
             e = k & 0x7FF
@@ -170,32 +170,88 @@ def _sum(terms: np.ndarray) -> float:
                 extra = int(np.count_nonzero(key == k)) << 52
                 mantissas += extra if k & 0x800 else -extra
             total += mantissas << max(e - 1, 0)
-    else:
+    return total
+
+
+def _add_totals(a: int | None, b: int | None) -> int | None:
+    """The total of two pieces; a non-finite piece (None) makes it None."""
+    return None if a is None or b is None else a + b
+
+
+def _round_total(total: int | None, count: int) -> float:
+    """An exact total from _exact_total, rounded once by int true division.
+
+    NonFiniteEstimate if a term of the count summed was not finite or
+    the total overflows.
+    """
+    if total is not None:
         try:
             return total / (1 << 1074)
         except OverflowError:
             pass
-    raise NonFiniteEstimate(
-        f"a sum over {bits.shape[0]} kept replications overflows a float"
+    raise NonFiniteEstimate(f"a sum over {count} kept replications overflows a float")
+
+
+def _sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of float64 terms, whatever their order.
+
+    The exact total, rounded once. The result equals math.fsum of the
+    terms, except that a finite total is returned where fsum raises on
+    an intermediate overflow. NonFiniteEstimate if a term is not finite
+    or the total overflows.
+    """
+    return _round_total(_exact_total(terms), len(terms))
+
+
+# Skip-code counts, and exact totals of the kept values and of their
+# squared errors, of no values at all.
+_NO_TALLY = (np.zeros(max(SKIP_LABELS) + 1, np.int64), 0, 0)
+
+
+def _tally(tally, values: np.ndarray, codes: np.ndarray, rho: float):
+    """A running tally with one more block of evaluated values added.
+
+    A tally holds the skip-code counts, and the exact totals of the kept
+    values and of their squared errors against rho. Tallies are exact,
+    so the way the values are cut into blocks does not change them.
+    """
+    counts, kept_total, err_total = tally
+    keep = codes == SKIP_OK
+    kept = values[keep]
+    # bincount the few skipped codes only; it is slow on long arrays
+    counts = counts + np.bincount(codes[~keep], minlength=counts.shape[0])
+    counts[SKIP_OK] += kept.shape[0]
+    # an overflowing square makes its total non-finite, which
+    # _round_total reports
+    with np.errstate(over="ignore"):
+        err = kept - rho
+        err *= err
+    return (
+        counts,
+        _add_totals(kept_total, _exact_total(kept)),
+        _add_totals(err_total, _exact_total(err)),
     )
 
 
-def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
-    counts = np.bincount(codes, minlength=max(SKIP_LABELS) + 1).tolist()
+def _settle(tally):
+    """Skip accounting, mean and MSE of a run from its tally, each total rounded once."""
+    counts, kept_total, err_total = tally
+    counts = counts.tolist()
     k = counts[SKIP_OK]
-    total = values.shape[0]
+    total = sum(counts)
     reasons = {label: counts[code] for code, label in SKIP_LABELS.items() if counts[code]}
     if k == 0:
         raise AllSamplesDegenerate(
             f"all {total} replications were skipped: {reasons}"
         )
-    kept = values[codes == SKIP_OK]
-    # an overflowing square makes its sum non-finite, which _sum reports
-    with np.errstate(over="ignore"):
-        mean = _sum(kept) / k
-        err = kept - rho
-        mse = _sum(err * err) / k
+    mean = _round_total(kept_total, k) / k
+    mse = _round_total(err_total, k) / k
     return k, total - k, reasons, mean, mse
+
+
+def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
+    """_settle of the tally of one block: all the values of a run at once."""
+    return _settle(_tally(_NO_TALLY, values, codes, rho))
 
 
 def _standard_errors(kept: np.ndarray, rho: float, mean: float, mse: float):
@@ -270,7 +326,7 @@ def simulate(
     aux = KnownAux(m.mean_z, m.s2_z)
 
     try:
-        rows = np.empty((reps, _kernels.NCOLS))
+        rows = np.empty((reps, _kernels.NCOLS), order="F")
         flags = np.empty(reps, np.uint8)
     except (ValueError, MemoryError):
         raise TooManySamples(f"{reps} replications do not fit in memory") from None
@@ -317,6 +373,12 @@ def simulate(
     )
 
 
+def _next_sets(sets, count: int, width: int) -> np.ndarray:
+    """The next count index tuples of an itertools iterator, as (rows, width) int64."""
+    flat = itertools.chain.from_iterable(itertools.islice(sets, count))
+    return np.fromiter(flat, np.int64).reshape(-1, width)
+
+
 def enumerate_exact(
     frame: PopulationFrame,
     design: DesignSpec,
@@ -335,9 +397,12 @@ def enumerate_exact(
     Phase-one statistics depend only on the first-phase set, and r, the
     second-phase moments and the plug-in weights only on the second.
     So each of the C(N, n1) first-phase sets and each of the C(N, n)
-    n-subsets of the population is computed once, and each pair
-    gathers its two rows, the second found by its subset rank. The
-    result equals stats_rows over every pair's index rows in C order.
+    n-subsets of the population is computed once. The pairs are formed
+    a block of first-phase sets at a time, each set's row broadcast over
+    the subset ranks of its C(n1, n) second-phase sets, and each block
+    is evaluated and tallied exactly before the next is formed. The
+    result equals stats_rows over every pair's index rows in C order,
+    whatever the block size.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -354,45 +419,39 @@ def enumerate_exact(
     m = population_moments(frame)
     aux = KnownAux(m.mean_z, m.s2_z)
 
-    first_all = np.array(
-        list(itertools.combinations(range(design.N), design.n1)), dtype=np.int64
-    ).reshape(k1, design.n1)
-    patterns = np.array(
-        list(itertools.combinations(range(design.n1), design.n)), dtype=np.int64
-    ).reshape(k2, design.n)
+    patterns = _next_sets(
+        itertools.combinations(range(design.n1), design.n), k2, design.n
+    )
 
     # every second-phase set is an n-subset of range(N): compute each
     # one's statistics once, in itertools order, and find them by rank
     k_sets = math.comb(design.N, design.n)
-    second_rows = np.empty((k_sets, _kernels.SECOND_COLS))
+    second_rows = np.empty((_kernels.SECOND_COLS, k_sets)).T  # pair_rows reads columns
     second_flags = np.empty(k_sets, np.uint8)
     subsets = itertools.combinations(range(design.N), design.n)
     step = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n)
     for lo in range(0, k_sets, step):
-        sets = np.array(list(itertools.islice(subsets, step)), dtype=np.int64)
+        sets = _next_sets(subsets, step, design.n)
         hi = lo + sets.shape[0]
         second_rows[lo:hi], second_flags[lo:hi] = _kernels.second_phase_rows(
             frame.y, frame.x, frame.z, sets
         )
     rank = _kernels.subset_ranker(design.N, design.n)
 
-    values = np.empty(total)
-    codes = np.empty(total, np.uint8)
+    first_sets = itertools.combinations(range(design.N), design.n1)
     block = max(1, _kernels.chunk_rows(design.N, cap=65536) // k2)
-    for i in range(0, k1, block):
-        fblock = first_all[i : i + block]
-        b = fblock.shape[0]
+    tally = _NO_TALLY
+    for _ in range(0, k1, block):
+        fblock = _next_sets(first_sets, block, design.n1)
         rows, flags = _kernels.pair_rows(
             _kernels.first_phase_rows(frame.x, frame.z, fblock, aux.zbar, aux.sz2),
             (second_rows, second_flags),
-            np.repeat(np.arange(b), k2),
-            rank(fblock, patterns).reshape(b * k2),
+            rank(fblock, patterns),
         )
-        vals, cds = evaluate_rows(spec, rows, flags)
-        values[i * k2 : i * k2 + b * k2] = vals
-        codes[i * k2 : i * k2 + b * k2] = cds
+        values, codes = evaluate_rows(spec, rows, flags)
+        tally = _tally(tally, values, codes, m.rho_yx)
 
-    k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
+    k, skipped, reasons, mean, mse = _settle(tally)
     _check_skip_budget(skipped, total, reasons, max_skip_fraction)
     return EnumerationResult(
         design=design,

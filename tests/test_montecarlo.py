@@ -209,6 +209,101 @@ class TestEnumerationMatchesPerPair:
         assert seen == set(SKIP_LABELS.values())
 
 
+def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets):
+    """pair_rows spelled out one pair at a time in Python floats.
+
+    Pairs each first-phase set with its n-subsets in itertools order,
+    finds each subset's row by lookup rather than by rank, and builds the
+    nine columns, the flag (degenerate before nonfinite before singular)
+    and the NaN pattern of the stats_rows layout.
+    """
+    (f_rows, f_flags), (s_rows, s_flags) = first_stats, second_stats
+    where = {s: i for i, s in enumerate(subsets)}
+    n = len(subsets[0])
+    rows, flags = [], []
+    for f, f_flag, first in zip(f_rows.tolist(), f_flags.tolist(), first_sets):
+        for second in itertools.combinations(first, n):
+            j = where[second]
+            s = s_rows[j].tolist()
+            with np.errstate(all="ignore"):
+                u, v = (float(np.float64(s[c]) / f[c - 1]) for c in (1, 2))
+            row = [s[0], u, v, f[2], f[3]] + s[3:]
+            if (f_flag | int(s_flags[j])) & _kernels.FLAG_DEGENERATE:
+                flag = _kernels.FLAG_DEGENERATE
+            elif not all(map(math.isfinite, row[:5])):
+                flag = _kernels.FLAG_NONFINITE
+            elif s_flags[j] == _kernels.FLAG_SINGULAR:
+                flag = _kernels.FLAG_SINGULAR
+            else:
+                flag = 0
+            if flag in (_kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE):
+                row = [math.nan] * _kernels.NCOLS
+            elif flag == _kernels.FLAG_SINGULAR:
+                row[_kernels.COL_ALPHA :] = [math.nan] * 4
+            rows.append(row)
+            flags.append(flag)
+    return np.array(rows), np.array(flags, np.uint8)
+
+
+class TestPairRows:
+    """pair_rows against a per-pair Python oracle; TestEnumerationMatchesPerPair
+    leans on it, since its reference, stats_rows, runs pair_rows too."""
+
+    def test_matches_per_pair_oracle(self):
+        design = c2p.DesignSpec(8, 5, 3)
+        aux = c2p.KnownAux.from_frame(TIES)
+        first_sets = list(itertools.combinations(range(design.N), design.n1))
+        subsets = list(itertools.combinations(range(design.N), design.n))
+        first = np.array(first_sets)
+        first_stats = _kernels.first_phase_rows(TIES.x, TIES.z, first, aux.zbar, aux.sz2)
+        second_stats = _kernels.second_phase_rows(TIES.y, TIES.x, TIES.z, np.array(subsets))
+        patterns = np.array(list(itertools.combinations(range(design.n1), design.n)))
+        i2 = _kernels.subset_ranker(design.N, design.n)(first, patterns)
+        rows, flags = _kernels.pair_rows(first_stats, second_stats, i2)
+        want_rows, want_flags = _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets)
+        assert set(np.unique(flags)) == {
+            0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
+        }
+        assert rows.flags.f_contiguous
+        np.testing.assert_array_equal(flags, want_flags)
+        np.testing.assert_array_equal(rows.view(np.int64), want_rows.view(np.int64))
+
+
+def _outcome_and_message(run, *args):
+    try:
+        return run(*args)
+    except Corr2PhaseError as exc:
+        return type(exc), str(exc)
+
+
+class TestEnumerationBlocks:
+    @pytest.mark.parametrize(
+        "frame, design",
+        [(TIES, c2p.DesignSpec(8, 5, 3)), (c2p.random_population(9, 9), c2p.DesignSpec(9, 7, 4))],
+    )
+    @pytest.mark.parametrize("budget", [0.01, 1.0])
+    def test_one_first_phase_set_per_block(self, monkeypatch, frame, design, budget):
+        def outcomes():
+            return [
+                _outcome_and_message(c2p.enumerate_exact, frame, design, label, 4_000_000, budget)
+                for label in LABELS
+            ]
+
+        want = outcomes()
+        blocks = []
+        pair_rows = _kernels.pair_rows
+
+        def one_set_pair_rows(first_stats, second_stats, i2):
+            blocks.append(i2.shape[0])
+            return pair_rows(first_stats, second_stats, i2)
+
+        monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: 1)
+        monkeypatch.setattr(_kernels, "pair_rows", one_set_pair_rows)
+        assert outcomes() == want
+        assert set(blocks) == {1}
+        assert len(blocks) == len(LABELS) * math.comb(design.N, design.n1)
+
+
 class TestSimulation:
     def test_census_replications_are_exact(self, six_frame):
         m = c2p.population_moments(six_frame)
@@ -466,6 +561,28 @@ class TestExactSum:
             _sum(np.array([1.0, 2.0, 3.0, 4.0, math.nan]))
         with pytest.raises(NonFiniteEstimate):
             _sum(np.array([MAX, 1.0, 2.0, MAX]))
+
+    @given(terms=_finite_terms(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_totals_of_pieces_round_like_the_whole(self, terms, data):
+        # enumerate_exact adds up exact totals block by block and rounds
+        # once; cut anywhere, that must be _sum of the whole, error included
+        bad = data.draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2))
+        for value in bad:
+            terms = np.insert(terms, data.draw(st.integers(0, terms.shape[0])), value)
+        k = terms.shape[0]
+        cuts = sorted(data.draw(st.lists(st.integers(0, k), max_size=6)) + [0, k])
+        total = 0
+        for lo, hi in zip(cuts, cuts[1:]):
+            total = montecarlo._add_totals(total, montecarlo._exact_total(terms[lo:hi]))
+        if bad or abs(_exact_units(terms)) >= OVERFLOW_UNITS:
+            message = f"a sum over {k} kept replications overflows a float"
+            for run, args in ((montecarlo._round_total, (total, k)), (_sum, (terms,))):
+                with pytest.raises(NonFiniteEstimate) as info:
+                    run(*args)
+                assert str(info.value) == message
+            return
+        assert _bits(montecarlo._round_total(total, k)) == _bits(_sum(terms))
 
     def test_skip_reasons_keep_label_order(self):
         codes = np.array([5, 3, 0, 1, 3, 2, 0, 4, 5], np.uint8)
