@@ -9,10 +9,12 @@ arrays.
 
 The statistics of a two-phase pair split by phase: first_phase_rows
 reads only the first-phase set, second_phase_rows only the second, and
-pair_rows joins them, broadcasting each first-phase row over the ranks
-of the second-phase sets it is paired with. stats_rows pairs row t with
-row t; exact enumeration computes each distinct set once and pairs a
-block of first-phase sets with their subsets by rank (subset_ranker).
+pair_rows joins them into named columns (PairStats): the second-phase
+columns taken by the ranks of the b x k paired sets, the first-phase
+columns left as (b, 1) views that broadcast over them. stats_rows is
+the k = 1 case, pairing row t with row t; exact enumeration computes
+each distinct set once and pairs a block of first-phase sets with
+their subsets by rank (subset_ranker).
 
 moment_rows is the one place that computes means, sums of products and
 standardized moments d_pqm, over (rows x units) arrays: the gathered
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,11 +51,6 @@ def resolve_backend(backend: None = None) -> str:
     """Name of the kernel implementation: always "numpy"."""
     return "numpy"
 
-
-# Output row layout of stats_rows.
-COL_R, COL_U, COL_V, COL_W, COL_A = 0, 1, 2, 3, 4
-COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA = 5, 6, 7, 8
-NCOLS = 9
 
 # Width of a second_phase_rows row.
 SECOND_COLS = 7
@@ -389,46 +386,55 @@ def second_phase_rows(
     return rows, flags
 
 
-def pair_rows(first_stats, second_stats, i2) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics rows of the two-phase pairs that i2 spells out.
+class PairStats(NamedTuple):
+    """Statistics of b * k two-phase pairs, as columns that broadcast.
+
+    r, u and v and the plug-in weights alpha, beta, gamma and delta are
+    (b, k) arrays; w and a, which depend on the first phase only, are
+    (b, 1) views of the first-phase table. flags is (b, k): 0 or one of
+    FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Entries are defined
+    only where their flag allows: nothing under DEGENERATE or NONFINITE,
+    r, u, v, w and a under SINGULAR.
+    """
+
+    r: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    flags: np.ndarray
+
+
+def pair_rows(first_stats, second_stats, i2) -> PairStats:
+    """Statistics of the two-phase pairs that i2 spells out.
 
     first_stats and second_stats are the (rows, flags) results of
     first_phase_rows and second_phase_rows. i2 is a (b, k) array of
-    second-phase row indices: row t * k + j pairs first-phase row t with
-    second-phase row i2[t, j]. The first-phase columns are broadcast
-    over each row's k indices, not gathered per pair. Returns (rows,
-    flags) in the stats_rows layout; rows is the F-ordered view of a
-    (NCOLS, b * k) array, so each column is contiguous.
+    second-phase row indices: entry [t, j] pairs first-phase row t with
+    second-phase row i2[t, j]. The second-phase columns are taken by i2;
+    the first-phase columns stay (b, 1) and broadcast over the k pairs
+    of their row.
     """
     first, first_flags = first_stats
     second, second_flags = second_stats
-    b, k = i2.shape
-    out = np.empty((NCOLS, b, k))
-    # the second_phase_rows columns, in order; mode="clip" lets take
-    # write to out unbuffered, and the indices are in range anyway
-    for col, src in zip((COL_R, COL_U, COL_V, COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA),
-                        range(SECOND_COLS)):
-        np.take(second[:, src], i2, out=out[col], mode="clip")
+    r, xbar, sx2, alpha, beta, gamma, delta = (
+        second[:, c].take(i2) for c in range(SECOND_COLS)
+    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out[COL_U] /= first[:, 0, None]
-        out[COL_V] /= first[:, 1, None]
-    out[COL_W] = first[:, 2, None]
-    out[COL_A] = first[:, 3, None]
+        u = xbar / first[:, 0, None]
+        v = sx2 / first[:, 1, None]
+    w, a = first[:, 2, None], first[:, 3, None]
     pair_flags = second_flags.take(i2)
-    degenerate = ((first_flags[:, None] | pair_flags) & FLAG_DEGENERATE) != 0
-    finite = reduce(np.logical_and, (np.isfinite(out[c]) for c in (COL_R, COL_U, COL_V)))
-    finite &= np.isfinite(first[:, 2:]).all(axis=1)[:, None]  # w and a
-    nonfinite = ~finite & ~degenerate
-    singular = (pair_flags == FLAG_SINGULAR) & ~(degenerate | nonfinite)
-
-    flags = np.zeros(b * k, np.uint8)
-    flags[degenerate.reshape(-1)] = FLAG_DEGENERATE
-    flags[nonfinite.reshape(-1)] = FLAG_NONFINITE
-    flags[singular.reshape(-1)] = FLAG_SINGULAR
-    out = out.reshape(NCOLS, b * k)
-    out[:, np.flatnonzero(flags & (FLAG_DEGENERATE | FLAG_NONFINITE))] = np.nan
-    out[COL_ALPHA:, np.flatnonzero(flags == FLAG_SINGULAR)] = np.nan
-    return out.T, flags
+    finite = reduce(np.logical_and, map(np.isfinite, (r, u, v, w, a)))
+    # later writes win: degenerate before nonfinite before singular
+    flags = pair_flags & FLAG_SINGULAR
+    flags[~finite] = FLAG_NONFINITE
+    flags[((first_flags[:, None] | pair_flags) & FLAG_DEGENERATE) != 0] = FLAG_DEGENERATE
+    return PairStats(r, u, v, w, a, alpha, beta, gamma, delta, flags)
 
 
 def stats_rows(
@@ -439,14 +445,12 @@ def stats_rows(
     second: np.ndarray,
     aux_zbar: float,
     aux_sz2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample statistics rows for a batch of index draws.
+) -> PairStats:
+    """Per-sample statistics for a batch of index draws: the k = 1 case of pair_rows.
 
-    Returns (rows, flags). rows[t] holds [r, u, v, w, a, alpha, beta,
-    gamma, delta] for draw t, NaN where undefined; flags[t] is 0 or one
-    of FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Rows flagged
-    SINGULAR still carry valid r, u, v, w, a. Draw t pairs first[t] with
-    second[t]: the two phase passes, then pair_rows row by row.
+    Draw t pairs first[t] with second[t], so every field of the result
+    is (M, 1) for M draws. Draws flagged SINGULAR still carry valid r,
+    u, v, w and a.
     """
     return pair_rows(
         first_phase_rows(x, z, first, aux_zbar, aux_sz2),

@@ -78,11 +78,13 @@ class VarianceReport:
     interpretation_notes: tuple[str, ...]
 
 
-def _check_sizes(n: int, n1: int) -> None:
+def _check_sizes(m: MomentSet, n: int, n1: int) -> None:
     if not (2 <= n <= n1):
         raise InvalidDesign(f"need 2 <= n <= n1, got n={n}, n1={n1}")
     check_float_size("n", n)
     check_float_size("n1", n1)
+    if m.N is not None and n1 > m.N:
+        raise InvalidDesign(f"need n1 <= N, got n1={n1}, N={m.N}")
 
 
 def _span_or_raise(kurt: float, skew: float, axis: str) -> float:
@@ -178,7 +180,7 @@ def _var_parts(
 
 def _var_quad(m: MomentSet, n: int, n1: int, e: Sequence[float]) -> float:
     """Design variance with effective adjustment weights e (rho-scaled)."""
-    _check_sizes(n, n1)
+    _check_sizes(m, n, n1)
     return sum(_var_parts(m, n, n1, e))
 
 
@@ -224,7 +226,7 @@ def _variance_components(m: MomentSet, n: int, n1: int) -> tuple[float, float, f
     drop of a convex quadratic to its minimum, so it is nonnegative up
     to rounding whenever the moment table is nondegenerate.
     """
-    _check_sizes(n, n1)
+    _check_sizes(m, n, n1)
     rho = m.require("rho_yx")
     e = [rho * w for w in optimum_constants(m).weights()]
     base, part_x, part_z = _var_parts(m, n, n1, e)

@@ -14,10 +14,12 @@ adjustment weights from the same sample. At unit ratios every variant
 collapses to r exactly, because each adjustment factor is then the
 float constant 1 and each adjustment term the float constant 0.
 
-The formulas are written once, in evaluate_rows, which works on rows
-of per-sample statistics. simulate and enumerate_exact call it on
-kernel rows; estimate() calls it on the one row of a single sample and
-turns a skipped row into the matching error.
+The formulas are written once, in evaluate_rows, which works on named
+columns of per-pair statistics (_kernels.PairStats) that numpy
+broadcasts; the arithmetic is elementwise, so a pair's value has the
+same bits whatever the shapes around it. simulate and enumerate_exact
+call it on kernel columns; estimate() calls it on the one pair of a
+single sample and turns a skipped pair into the matching error.
 """
 
 from __future__ import annotations
@@ -28,20 +30,11 @@ import numpy as np
 
 from . import analytics
 from ._kernels import (
-    COL_A,
-    COL_ALPHA,
-    COL_BETA,
-    COL_DELTA,
-    COL_GAMMA,
-    COL_R,
-    COL_U,
-    COL_V,
-    COL_W,
     FLAG_DEGENERATE,
     FLAG_NONFINITE,
     FLAG_SINGULAR,
-    NCOLS,
     SINGULAR_RTOL,
+    PairStats,
 )
 from .errors import (
     InvalidParameter,
@@ -196,11 +189,7 @@ def optimal_estimator(kind: str, m: MomentSet) -> EstimatorSpec:
     raise InvalidParameter(f"{kind!r} has no free constants to optimize")
 
 
-# Columns of a statistics row (the stats_rows layout) that the formulas read.
-_RATIO_COLS = (COL_U, COL_V, COL_W, COL_A)
-_WEIGHT_COLS = (COL_ALPHA, COL_BETA, COL_GAMMA, COL_DELTA)
-
-# Skip codes of the evaluator; 0 means the row was used.
+# Skip codes of the evaluator; 0 means the pair was used.
 SKIP_OK = 0
 SKIP_DEGENERATE = 1
 SKIP_NONFINITE = 2
@@ -216,7 +205,7 @@ SKIP_LABELS = {
     SKIP_DENOMINATOR: "singular_denominator",
 }
 
-# What estimate() raises for a row that the evaluator skipped.
+# What estimate() raises for a pair that the evaluator skipped.
 _SKIP_ERRORS = {
     SKIP_NONPOSITIVE: (NonPositiveRatio, "a ratio raised to a power is not positive"),
     SKIP_DENOMINATOR: (SingularDenominator, "the denominator is not safely positive"),
@@ -224,30 +213,29 @@ _SKIP_ERRORS = {
 }
 
 
-def evaluate_rows(
-    spec: EstimatorSpec, rows: np.ndarray, flags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one estimator on statistics rows: the package's one evaluator.
+def evaluate_rows(spec: EstimatorSpec, stats: PairStats) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one estimator on pair statistics: the package's one evaluator.
 
-    rows use the stats_rows layout: r, u, v, w, a, then the plug-in
-    weights, which only the td-star kinds read. simulate and
-    enumerate_exact pass kernel rows, and estimate() is the one-row
-    case. Returns (values, codes); values[t] is meaningful only where
-    codes[t] == SKIP_OK, and is NaN elsewhere.
+    stats holds the columns r, u, v, w, a and the plug-in weights, which
+    only the td-star kinds read, in shapes that broadcast to that of
+    its flags (_kernels.PairStats). simulate and enumerate_exact pass
+    kernel columns, and estimate() is the one-pair case. Returns flat
+    (values, codes) in the C order of the flags; values[t] is meaningful
+    only where codes[t] == SKIP_OK, and is NaN elsewhere.
     """
-    M = rows.shape[0]
-    codes = np.zeros(M, np.uint8)
+    flags = stats.flags
+    codes = np.zeros(flags.shape, np.uint8)
     codes[(flags & FLAG_DEGENERATE) != 0] = SKIP_DEGENERATE
     codes[(flags & FLAG_NONFINITE) != 0] = SKIP_NONFINITE
     if spec.needs_plugin:
         codes[((flags & FLAG_SINGULAR) != 0) & (codes == 0)] = SKIP_PLUGIN
-        weights = tuple(rows[:, col] for col in _WEIGHT_COLS)
+        weights = stats.alpha, stats.beta, stats.gamma, stats.delta
     else:
         weights = spec.constants
 
-    r = rows[:, COL_R]
+    r = stats.r
     # zip(weights, ratios) pairs the two h-kind constants with u and v only
-    ratios = tuple(rows[:, col] for col in _RATIO_COLS)
+    ratios = stats.u, stats.v, stats.w, stats.a
     kind = spec.kind
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -263,7 +251,7 @@ def evaluate_rows(
             for base, e in zip(ratios, weights):
                 if np.ndim(e) == 0 and e == 0.0:
                     continue
-                live = e != 0.0 if np.ndim(e) else np.ones(M, bool)
+                live = np.not_equal(e, 0.0)  # a nonzero constant is live everywhere
                 codes[(codes == 0) & live & (base <= 0.0)] = SKIP_NONPOSITIVE
                 values = values * np.where(live, base**np.asarray(e), 1.0)
         else:
@@ -290,24 +278,22 @@ def evaluate_rows(
     bad_value = keep & ~np.isfinite(values)
     codes[bad_value] = SKIP_NONFINITE
     values[codes != SKIP_OK] = np.nan
-    return values, codes
+    return values.reshape(-1), codes.reshape(-1)
 
 
 def estimate(spec: EstimatorSpec, stats: SampleStatistics) -> float:
     """Evaluate one estimator on one sample's statistics.
 
-    The one-row case of evaluate_rows: a sample that simulate skips as
+    The one-pair case of evaluate_rows: a sample that simulate skips as
     nonpositive_ratio, singular_denominator or nonfinite_value makes
     estimate raise NonPositiveRatio, SingularDenominator or
     NonFiniteEstimate. Plug-in kinds first form their constants with
     estimated_optimum_constants and pass on its errors.
     """
-    row = np.zeros((1, NCOLS))
-    row[0, COL_R] = stats.r
-    row[0, _RATIO_COLS] = stats.u, stats.v, stats.w, stats.a
-    if spec.needs_plugin:
-        row[0, _WEIGHT_COLS] = estimated_optimum_constants(stats).weights()
-    values, codes = evaluate_rows(spec, row, np.zeros(1, np.uint8))
+    columns = (stats.r, stats.u, stats.v, stats.w, stats.a)
+    columns += estimated_optimum_constants(stats).weights() if spec.needs_plugin else (0.0,) * 4
+    one = PairStats(*(np.full((1, 1), c) for c in columns), flags=np.zeros((1, 1), np.uint8))
+    values, codes = evaluate_rows(spec, one)
     if codes[0] != SKIP_OK:
         error, reason = _SKIP_ERRORS[int(codes[0])]
         raise error(f"{spec.label()}: {reason}")

@@ -8,14 +8,17 @@ workers=1 and workers=8 therefore returns bit-identical results.
 
 simulate() sizes its chunks by n1, because the draw and the statistics
 kernel need O(n1) scratch per replication; its cost per replication
-does not grow with the population size N.
+does not grow with the population size N. Each chunk is drawn, paired
+(the k = 1 case of _kernels.pair_rows) and evaluated in one go, so a run
+keeps only one value and one skip code per replication.
 
 enumerate_exact() computes the statistics of each distinct phase once:
 C(N, n1) first-phase sets and C(N, n) second-phase sets. It then
-streams the C(N, n1) * C(n1, n) pairs block by block: each first-phase
-row is broadcast over the ranks of its second-phase subsets, and each
-block is evaluated and added to exact totals before the next is formed,
-so it holds O(block) memory whatever the number of pairs.
+streams the C(N, n1) * C(n1, n) pairs block by block: the second-phase
+columns are taken by the ranks of each set's subsets, the first-phase
+columns broadcast over them, and each block is evaluated and added to
+exact totals before the next is formed, so it holds O(block) memory
+whatever the number of pairs.
 
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
@@ -311,7 +314,8 @@ def simulate(
     population values of the frame. Results depend on (frame, design,
     estimator, reps, seed) only; workers change speed, never the
     draws or the result. The seed must lie in [0, 2**64). A reps count
-    whose result rows do not fit in memory raises TooManySamples.
+    whose values and skip codes do not fit in memory raises
+    TooManySamples.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -326,8 +330,8 @@ def simulate(
     aux = KnownAux(m.mean_z, m.s2_z)
 
     try:
-        rows = np.empty((reps, _kernels.NCOLS), order="F")
-        flags = np.empty(reps, np.uint8)
+        values = np.empty(reps)
+        codes = np.empty(reps, np.uint8)
     except (ValueError, MemoryError):
         raise TooManySamples(f"{reps} replications do not fit in memory") from None
     chunk = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n1)
@@ -338,11 +342,10 @@ def simulate(
         first, second = _kernels.draw_rows(
             design.N, design.n1, design.n, hi - lo, seed, rep_lo=lo
         )
-        out, fl = _kernels.stats_rows(
+        stats = _kernels.stats_rows(
             frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2
         )
-        rows[lo:hi] = out
-        flags[lo:hi] = fl
+        values[lo:hi], codes[lo:hi] = evaluate_rows(spec, stats)
 
     if workers == 1 or len(spans) == 1:
         for span in spans:
@@ -351,7 +354,6 @@ def simulate(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, spans))
 
-    values, codes = evaluate_rows(spec, rows, flags)
     k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
     se_mean, se_mse = _standard_errors(values[codes == SKIP_OK], m.rho_yx, mean, mse)
     _check_skip_budget(skipped, reps, reasons, max_skip_fraction)
@@ -443,12 +445,12 @@ def enumerate_exact(
     tally = _NO_TALLY
     for _ in range(0, k1, block):
         fblock = _next_sets(first_sets, block, design.n1)
-        rows, flags = _kernels.pair_rows(
+        stats = _kernels.pair_rows(
             _kernels.first_phase_rows(frame.x, frame.z, fblock, aux.zbar, aux.sz2),
             (second_rows, second_flags),
             rank(fblock, patterns),
         )
-        values, codes = evaluate_rows(spec, rows, flags)
+        values, codes = evaluate_rows(spec, stats)
         tally = _tally(tally, values, codes, m.rho_yx)
 
     k, skipped, reasons, mean, mse = _settle(tally)

@@ -179,8 +179,9 @@ def sample_statistics(
     first-phase set, with unit known z moments so that its w and a
     columns hold the raw first-phase mean and variance of z, and
     _kernels.moment_rows on the second-phase set. So r, u, v, w, a and
-    the plug-in weights equal a stats_rows row bit for bit, and a census
-    sample reproduces population_moments.
+    the plug-in weights equal the fields of that draw's entry in
+    stats_rows bit for bit, and a census sample reproduces
+    population_moments.
 
     Raises DegenerateSample when a variable that the ratios divide by
     is constant or has zero variance: y, x, z within the second phase,

@@ -192,6 +192,23 @@ class TestGuards:
         with pytest.raises(InvalidDesign):
             c2p.min_var_td(published_moments, 26, 25)
 
+    def test_first_phase_within_population(self, published_moments):
+        # N = 80; a table without N (normal theory) leaves n1 unbounded
+        m = published_moments
+        calls = [
+            lambda n1: c2p.min_var_td(m, 10, n1),
+            lambda n1: c2p.min_var_hd(m, 10, n1),
+            lambda n1: c2p.var_t_class(m, 10, n1, PUB_WEIGHTS),
+            lambda n1: c2p.var_h_class(m, 10, n1, PUB_WEIGHTS[:2]),
+            lambda n1: c2p.var_difference_class(m, 10, n1, PUB_WEIGHTS),
+            lambda n1: c2p.efficiency_report(m, 10, n1),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidDesign, match="n1 <= N"):
+                call(81)
+            call(80)
+        c2p.min_var_td(c2p.normal_theory_moments(0.5), 10, 10**6)
+
     def test_zero_correlation_has_no_optimum(self):
         m = c2p.normal_theory_moments(0.0)
         with pytest.raises(ZeroCorrelation):

@@ -475,7 +475,7 @@ class TestOptimalEstimator:
 @pytest.fixture(scope="module")
 def drawn(six_frame, six_aux):
     first, second = kernels.draw_rows(6, 4, 3, reps=48, seed=7)
-    rows, flags = kernels.stats_rows(
+    stats = kernels.stats_rows(
         six_frame.y,
         six_frame.x,
         six_frame.z,
@@ -493,7 +493,7 @@ def drawn(six_frame, six_aux):
         )
         for t in range(first.shape[0])
     ]
-    return rows, flags, scalar
+    return stats, scalar
 
 
 class TestVectorAgreement:
@@ -512,9 +512,9 @@ class TestVectorAgreement:
 
     @pytest.mark.parametrize("text", KINDS)
     def test_rowwise_values_match_scalar(self, text, drawn):
-        rows, flags, scalar = drawn
+        stats, scalar = drawn
         spec = c2p.parse_estimator(text)
-        values, codes = evaluate_rows(spec, rows, flags)
+        values, codes = evaluate_rows(spec, stats)
         for t, stats in enumerate(scalar):
             if codes[t] != 0:
                 with pytest.raises(c2p.Corr2PhaseError):
@@ -525,14 +525,11 @@ class TestVectorAgreement:
             ), t
 
     def test_crafted_nonpositive_row(self):
-        rows = np.zeros((1, kernels.NCOLS))
-        rows[0, kernels.COL_R] = 0.9
-        rows[0, kernels.COL_U] = -0.5
-        rows[0, kernels.COL_V] = 1.1
-        rows[0, kernels.COL_W] = 1.2
-        rows[0, kernels.COL_A] = 0.8
-        values, codes = evaluate_rows(
-            c2p.parse_estimator("chain-ratio"), rows, np.zeros(1, np.uint8)
+        r, u, v, w, a = 0.9, -0.5, 1.1, 1.2, 0.8
+        stats = kernels.PairStats(
+            *(np.full((1, 1), c) for c in (r, u, v, w, a, 0.0, 0.0, 0.0, 0.0)),
+            flags=np.zeros((1, 1), np.uint8),
         )
+        values, codes = evaluate_rows(c2p.parse_estimator("chain-ratio"), stats)
         assert codes[0] == SKIP_NONPOSITIVE
         assert np.isnan(values[0])

@@ -404,6 +404,36 @@ class TestEfficiencyCommand:
         assert doc["pre_td"] >= doc["pre_hd"] >= 100.0
         assert "published" not in doc
 
+    def test_first_phase_beyond_population_rejected(self, six_csv_path, capsys):
+        # simulate, enumerate and estimate reject this design as well
+        code, out, err = run_cli(
+            ["efficiency", "--pop", str(six_csv_path), "--n", "3", "--n1", "7"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: need n1 <= N, got n1=7, N=6")
+        code, _, _ = run_cli(
+            ["efficiency", "--pop", str(six_csv_path), "--n", "3", "--n1", "6"], capsys
+        )
+        assert code == 0
+
+    def test_params_first_phase_beyond_population_rejected(self, tmp_path, capsys):
+        with open(os.path.join(REPO_ROOT, "fixtures", "murthy67.json")) as fh:
+            doc = json.load(fh)
+        doc["N"] = 24  # below the document's n1 = 25
+        path = tmp_path / "small_n.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["efficiency", "--params", str(path), "--delta310-from-delta300"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: need n1 <= N, got n1=25, N=24")
+        code, _, _ = run_cli(
+            ["efficiency", "--params", str(path), "--delta310-from-delta300",
+             "--n", "10", "--n1", "24"],
+            capsys,
+        )
+        assert code == 0
+
     def test_substitution_flag_requires_params(self, six_csv_path, capsys):
         code, _, _ = run_cli(
             [

@@ -99,25 +99,34 @@ class TestRngContract:
             assert second[t].tolist() == s, t
 
 
+CORE = ("r", "u", "v", "w", "a")
+WEIGHTS = ("alpha", "beta", "gamma", "delta")
+
+
+def _entry(stats, i, names):
+    """The named fields of draw i of a stats_rows result."""
+    return tuple(getattr(stats, name)[i, 0] for name in names)
+
+
 class TestStatsRows:
     def test_rows_match_scalar_statistics(self):
         frame = synth(N=60, seed=4)
         design = c2p.DesignSpec(N=60, n1=25, n=10)
         first, second = K.draw_rows(60, 25, 10, reps=50, seed=21)
         aux = c2p.KnownAux.from_frame(frame)
-        rows, flags = K.stats_rows(
+        stats_rows = K.stats_rows(
             frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2,
         )
-        assert not np.any(flags)
+        assert not np.any(stats_rows.flags)
         for i in (0, 17, 49):
             sample = c2p.TwoPhaseSample(
                 design=design, first_phase=first[i], second_phase=second[i]
             )
             stats = c2p.sample_statistics(frame, sample, aux)
             expect = (stats.r, stats.u, stats.v, stats.w, stats.a)
-            assert rows[i, : K.COL_A + 1] == pytest.approx(expect, rel=1e-12)
+            assert _entry(stats_rows, i, CORE) == pytest.approx(expect, rel=1e-12)
             opt = c2p.estimated_optimum_constants(stats)
-            assert rows[i, K.COL_ALPHA :] == pytest.approx(opt.weights(), rel=1e-9)
+            assert _entry(stats_rows, i, WEIGHTS) == pytest.approx(opt.weights(), rel=1e-9)
 
     def test_rows_equal_sample_statistics(self):
         # sample_statistics is the one-row case of the kernels, so the
@@ -126,10 +135,10 @@ class TestStatsRows:
         design = c2p.DesignSpec(N=60, n1=25, n=10)
         first, second = K.draw_rows(60, 25, 10, reps=50, seed=21)
         aux = c2p.KnownAux.from_frame(frame)
-        rows, flags = K.stats_rows(
+        stats_rows = K.stats_rows(
             frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2,
         )
-        assert not np.any(flags)
+        assert not np.any(stats_rows.flags)
         for i in range(50):
             sample = c2p.TwoPhaseSample(
                 design=design, first_phase=first[i], second_phase=second[i]
@@ -137,18 +146,18 @@ class TestStatsRows:
             stats = c2p.sample_statistics(frame, sample, aux)
             weights = c2p.estimated_optimum_constants(stats).weights()
             expect = (stats.r, stats.u, stats.v, stats.w, stats.a) + weights
-            assert tuple(rows[i]) == expect, i
+            assert _entry(stats_rows, i, CORE + WEIGHTS) == expect, i
 
     def test_degenerate_sample_flagged(self):
         y = np.array([5.0, 5.0, 5.0, 1.0, 2.0, 3.0])
         x = np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0])
         z = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 8.0])
-        rows, flags = K.stats_rows(
+        stats = K.stats_rows(
             y, x, z, np.array([[0, 1, 2, 3]]), np.array([[0, 1, 2]]),
             23.0 / 6.0, 37.0 / 6.0,
         )
-        assert flags[0] == K.FLAG_DEGENERATE
-        assert np.isnan(rows[0, K.COL_R])
+        assert stats.flags[0, 0] == K.FLAG_DEGENERATE
+        assert np.isnan(stats.r[0, 0])
 
     def test_constant_off_its_rounded_mean_flagged_degenerate(self):
         # three 0.1 values have mean 0.10000000000000002, so the sum of
@@ -168,15 +177,15 @@ class TestStatsRows:
         frame_y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 9.0])
         x = np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0])
         z = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 8.0])
-        rows, flags = K.stats_rows(
+        stats = K.stats_rows(
             frame_y, x, z, np.array([[0, 1, 2, 3]]), np.array([[0, 1]]),
             23.0 / 6.0, 37.0 / 6.0,
         )
         # Plug-in constants are unusable at n=2 (the x moment table is
         # two-point degenerate) but the plain statistics stay valid.
-        assert flags[0] == K.FLAG_SINGULAR
-        assert np.all(np.isfinite(rows[0, : K.COL_A + 1]))
-        assert np.isnan(rows[0, K.COL_ALPHA])
+        assert stats.flags[0, 0] == K.FLAG_SINGULAR
+        assert np.all(np.isfinite(_entry(stats, 0, CORE)))
+        assert np.isnan(stats.alpha[0, 0])
 
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -192,12 +201,14 @@ class TestStatsRows:
         aux = c2p.KnownAux.from_frame(frame)
         cols = (frame.y, frame.x, frame.z)
         first, second = K.draw_rows(2000, 40, 10, reps=40, seed=seed)
-        rows, flags = K.stats_rows(*cols, first, second, aux.zbar, aux.sz2)
+        stats = K.stats_rows(*cols, first, second, aux.zbar, aux.sz2)
         part_first, part_second = K.draw_rows(2000, 40, 10, reps=hi - lo, seed=seed, rep_lo=lo)
         for f, s in ((first[lo:hi], second[lo:hi]), (part_first, part_second)):
-            got, got_flags = K.stats_rows(*cols, f, s, aux.zbar, aux.sz2)
-            assert np.array_equal(got, rows[lo:hi], equal_nan=True)
-            assert np.array_equal(got_flags, flags[lo:hi])
+            got = K.stats_rows(*cols, f, s, aux.zbar, aux.sz2)
+            for name in CORE + WEIGHTS:
+                want = getattr(stats, name)[lo:hi]
+                assert np.array_equal(getattr(got, name), want, equal_nan=True), name
+            assert np.array_equal(got.flags, stats.flags[lo:hi])
 
 
 U = 2.0**-53  # unit roundoff of float64

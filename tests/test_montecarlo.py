@@ -151,7 +151,7 @@ def _pair_statistics(frame, design):
 def _enumerate_per_pair(frame, design, estimator, max_skip_fraction):
     spec = c2p.parse_estimator(estimator)
     rho = c2p.population_moments(frame).rho_yx
-    values, codes = evaluate_rows(spec, *_pair_statistics(frame, design))
+    values, codes = evaluate_rows(spec, _pair_statistics(frame, design))
     k, skipped, reasons, mean, mse = _aggregate(values, codes, rho)
     _check_skip_budget(skipped, values.shape[0], reasons, max_skip_fraction)
     return EnumerationResult(
@@ -196,7 +196,7 @@ class TestEnumerationMatchesPerPair:
             assert got == expect, label
 
     def test_tie_frame_raises_every_skip(self):
-        _, flags = _pair_statistics(TIES, c2p.DesignSpec(8, 5, 3))
+        flags = _pair_statistics(TIES, c2p.DesignSpec(8, 5, 3)).flags
         assert set(np.unique(flags)) == {
             0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
         }
@@ -213,9 +213,9 @@ def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets):
     """pair_rows spelled out one pair at a time in Python floats.
 
     Pairs each first-phase set with its n-subsets in itertools order,
-    finds each subset's row by lookup rather than by rank, and builds the
-    nine columns, the flag (degenerate before nonfinite before singular)
-    and the NaN pattern of the stats_rows layout.
+    finds each subset's row by lookup rather than by rank, and builds one
+    row per pair, [r, u, v, w, a, alpha, beta, gamma, delta], and its
+    flag (degenerate before nonfinite before singular).
     """
     (f_rows, f_flags), (s_rows, s_flags) = first_stats, second_stats
     where = {s: i for i, s in enumerate(subsets)}
@@ -236,10 +236,6 @@ def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets):
                 flag = _kernels.FLAG_SINGULAR
             else:
                 flag = 0
-            if flag in (_kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE):
-                row = [math.nan] * _kernels.NCOLS
-            elif flag == _kernels.FLAG_SINGULAR:
-                row[_kernels.COL_ALPHA :] = [math.nan] * 4
             rows.append(row)
             flags.append(flag)
     return np.array(rows), np.array(flags, np.uint8)
@@ -259,14 +255,25 @@ class TestPairRows:
         second_stats = _kernels.second_phase_rows(TIES.y, TIES.x, TIES.z, np.array(subsets))
         patterns = np.array(list(itertools.combinations(range(design.n1), design.n)))
         i2 = _kernels.subset_ranker(design.N, design.n)(first, patterns)
-        rows, flags = _kernels.pair_rows(first_stats, second_stats, i2)
+        stats = _kernels.pair_rows(first_stats, second_stats, i2)
         want_rows, want_flags = _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets)
-        assert set(np.unique(flags)) == {
+        assert set(np.unique(stats.flags)) == {
             0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
         }
-        assert rows.flags.f_contiguous
-        np.testing.assert_array_equal(flags, want_flags)
-        np.testing.assert_array_equal(rows.view(np.int64), want_rows.view(np.int64))
+        b, k = i2.shape
+        assert {name: f.shape for name, f in stats._asdict().items()} == {
+            name: (b, 1) if name in ("w", "a") else (b, k) for name in stats._fields
+        }
+        np.testing.assert_array_equal(stats.flags.reshape(-1), want_flags)
+        rows = np.column_stack([np.broadcast_to(f, (b, k)).reshape(-1) for f in stats[:-1]])
+        # r, u, v, w, a where the pair is not degenerate or nonfinite, the
+        # weights where it is not flagged at all
+        core = (want_flags & (_kernels.FLAG_DEGENERATE | _kernels.FLAG_NONFINITE)) == 0
+        plain = want_flags == 0
+        for keep, cols in ((core, slice(0, 5)), (plain, slice(5, 9))):
+            np.testing.assert_array_equal(
+                rows[keep, cols].view(np.int64), want_rows[keep, cols].view(np.int64)
+            )
 
 
 def _outcome_and_message(run, *args):
@@ -302,6 +309,40 @@ class TestEnumerationBlocks:
         assert outcomes() == want
         assert set(blocks) == {1}
         assert len(blocks) == len(LABELS) * math.comb(design.N, design.n1)
+
+
+class TestSimulationChunks:
+    """simulate evaluates each chunk as soon as it is drawn; neither the
+    chunk size nor the worker count may change a result or an error."""
+
+    REPS = 41  # chunks of 4 leave a one-replication last chunk
+
+    @pytest.mark.parametrize(
+        "frame, design, budget",
+        [(TIES, c2p.DesignSpec(8, 5, 3), 1.0),
+         (TIES, c2p.DesignSpec(8, 5, 3), 0.01),
+         (c2p.synthetic_population(200, 3), c2p.DesignSpec(200, 30, 10), 0.01)],
+        ids=["ties-budget-1.0", "ties-budget-0.01", "synthetic"],
+    )
+    def test_chunk_size_and_workers(self, monkeypatch, frame, design, budget):
+        def outcomes(workers):
+            return [
+                _outcome_and_message(
+                    c2p.simulate, frame, design, label, self.REPS, 20, workers, budget
+                )
+                for label in LABELS
+            ]
+
+        # the default run is one chunk
+        assert _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n1) > self.REPS
+        want = outcomes(1)
+        if budget == 1.0:
+            seen = set().union(*(result.skip_reasons for result in want))
+            assert seen == set(SKIP_LABELS.values())
+        for chunk in (1, 4):
+            monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
+            for workers in (1, 2):
+                assert outcomes(workers) == want, (chunk, workers)
 
 
 class TestSimulation:
