@@ -1,9 +1,11 @@
 """Hot numeric kernels: vectorized numpy over many replications at once.
 
 Sample draws use a counter-based splitmix64 generator, so replication t
-of a run is a pure function of (seed, t). The draw tracks only the
-first-phase positions and the units swapped into them, so its scratch
-is O(n1) per replication and its cost does not grow with N.
+of a run is a pure function of (seed, t). The draw never replays its
+swaps: each phase computes all its swap targets at once and reads its
+result off one sort of packed (target, step) keys, following the rare
+chains of repeated targets sparsely. Its scratch is O(n1) per
+replication and its cost does not grow with N.
 Floating-point statistics are exactly reproducible for the same index
 arrays.
 
@@ -32,6 +34,7 @@ minimized variance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import reduce
 from operator import mul
@@ -56,7 +59,9 @@ def resolve_backend(backend: None = None) -> str:
 SECOND_COLS = 7
 
 # Scratch of one replication through draw_rows and stats_rows, in 8-byte
-# elements per first-phase unit: a bound that holds for any n <= n1.
+# elements per first-phase unit: a bound that holds for any n <= n1. The
+# draw's share is its n1 targets, which become the first-phase row, one
+# n1-wide buffer of sort keys and the n second-phase positions.
 SCRATCH_PER_N1 = 32
 
 FLAG_DEGENERATE = 1  # a required sample variable is constant
@@ -103,12 +108,21 @@ _S31 = np.uint64(31)
 _MASK64 = (1 << 64) - 1
 
 
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer of the uint64 array z, in place; tmp is scratch of z's shape."""
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+
+
 def mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array."""
-    z = np.asarray(z, dtype=np.uint64)
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    z = np.array(z, dtype=np.uint64)
+    _mix64_into(z, np.empty_like(z))
+    return z
 
 
 def spread(kurt, skew):
@@ -160,16 +174,94 @@ def optimum_weights(d, c_x, c_z, slopes, span_x, span_z):
     return x + _axis_weights(s3, s4, c_z, d(0, 0, 3), d(0, 0, 4), span_z)
 
 
-def _sorted_rows(pool: np.ndarray) -> np.ndarray:
-    """The columns of pool as sorted rows of a C-ordered array.
+def _swap_targets(stream, first_step, span, out, tmp) -> None:
+    """Swap targets of m consecutive steps of each replication, into out.
 
-    C order makes numpy sum every row of a gather such as x[first] in
-    the same (pairwise) order, whatever the number of rows, so a
-    replication's statistics do not depend on the chunk it falls in.
+    out and tmp are (reps, m) int64 arrays, tmp scratch. Step j of
+    replication t targets j + mix64(stream[t] + GOLDEN*(first_step + j))
+    mod (span - j); uint64 arithmetic wraps silently, as the counter
+    scheme wants.
     """
-    rows = pool.T.copy()
-    rows.sort(axis=1)
-    return rows
+    m = out.shape[1]
+    z = out.view(np.uint64)
+    np.add(stream[:, None], _GOLDEN * np.arange(first_step, first_step + m, dtype=np.uint64), out=z)
+    _mix64_into(z, tmp.view(np.uint64))
+    z %= np.arange(span, span - m, -1).astype(np.uint64)
+    out += np.arange(m)
+
+
+def _repeats(keys: np.ndarray, low: int) -> np.ndarray:
+    """Flat indices of the sorted keys whose target is that of the key before, in its row.
+
+    Keys pack (target << shift) | step, so two keys share a target when
+    their xor is at most low = 2**shift - 1. The xor runs block by block
+    through one small buffer.
+    """
+    flat = keys.reshape(-1)
+    block = 1 << 14
+    same = np.zeros(flat.size, bool)
+    buf = np.empty(min(block, flat.size), np.int64)
+    for lo in range(1, flat.size, block):
+        hi = min(lo + block, flat.size)
+        xor = buf[: hi - lo]
+        np.bitwise_xor(flat[lo:hi], flat[lo - 1 : hi - 1], out=xor)
+        np.less_equal(xor, low, out=same[lo:hi])
+    same[:: keys.shape[1]] = False  # a row's first key has no key before it
+    return np.flatnonzero(same)
+
+
+def _resolve_swaps(t: np.ndarray, keys: np.ndarray) -> None:
+    """Turn the targets of a partial Fisher-Yates pass into its result, in place.
+
+    t is (reps, m) with t[:, j] >= j the target of step j, which swaps
+    positions j and t[:, j] of a pool that starts as the identity; on
+    return t[:, j] is the entry that ends at position j. keys is (reps,
+    m) scratch.
+
+    Position j ends up holding what sat at t_j just before step j: t_j
+    itself, unless an earlier step i also targeted t_j. Then it is what
+    the latest such step i moved there, which is what sat at position i
+    just before step i: i itself, unless an earlier step h targeted i,
+    and so on down the chain. One sort of packed (target, step) keys per
+    replication puts each step right after the earlier steps that share
+    its target, and puts the targets below m, the only ones a chain can
+    pass through, at the front of each row; the rare chains are then
+    followed by searchsorted over those few linked positions until
+    nothing moves.
+    """
+    reps, m = t.shape
+    shift = (m - 1).bit_length()
+    low = (1 << shift) - 1
+    np.left_shift(t, shift, out=keys)
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    flat = keys.reshape(-1)
+
+    # links: the steps h that targeted a position i < m, as the sorted
+    # codes row * m + i and their steps h; a code's last entry holds its
+    # latest step. Targets below m lead each sorted row, so only the
+    # first `width` columns hold any. A chain only visits positions i
+    # with t_i > i, so none of their links is step i itself.
+    lim = m << shift
+    width = bisect.bisect_left(range(m), True, key=lambda c: not (keys[:, c] < lim).any())
+    rows, cols = np.nonzero(keys[:, :width] < lim)
+    linked = keys[rows, cols]
+    codes = rows * m + (linked >> shift)
+    links = linked & low
+
+    # steps whose target an earlier step shared start from that step,
+    # then follow links until none applies
+    at = _repeats(keys, low)
+    rows = at // m
+    source = flat[at - 1] & low
+    moving = np.arange(at.size)
+    while moving.size and codes.size:
+        code = rows[moving] * m + source[moving]
+        hit = np.searchsorted(codes, code, side="right") - 1
+        found = codes[hit] == code
+        moving = moving[found]
+        source[moving] = links[hit[found]]
+    t.reshape(-1)[rows * m + (flat[at] & low)] = source
 
 
 def draw_rows(
@@ -191,13 +283,21 @@ def draw_rows(
 
     Each replication is a partial Fisher-Yates shuffle: n1 swaps over
     the population, then n swaps over the first phase. Swap j pairs
-    position j with k_j = j + mix64(stream + GOLDEN*(j+1)) mod (span - j),
+    position j with t_j = j + mix64(stream + GOLDEN*(j+1)) mod (span - j),
     where the span is N in phase one and n1 in phase two. The targets
-    never depend on the pool's contents, so all of them come from one
-    vectorized call. Positions below n1 keep their index, and the at
-    most n1 distinct targets beyond are relabelled onto slots
-    n1..2*n1-1, so the pool has 2*n1 slots: scratch is O(n1) per
+    never depend on the pool's contents, so all of a phase's come from
+    one vectorized call, and the swaps are never replayed:
+    _resolve_swaps reads each phase's result off one sort of its
+    targets. Phase two resolves to positions of the first phase, which
+    are gathered from phase one's result. A call holds the (reps, n1)
+    targets, which become first, one key buffer of that size and the
+    (reps, n) positions of phase two, so its scratch is O(n1) per
     replication whatever N is.
+
+    Rows are sorted in place in C order. C order makes numpy sum every
+    row of a gather such as x[first] in the same (pairwise) order,
+    whatever the number of rows, so a replication's statistics do not
+    depend on the chunk it falls in.
     """
     if not (2 <= n <= n1 <= N):
         raise InvalidParameter("need 2 <= n <= n1 <= N")
@@ -216,49 +316,21 @@ def draw_rows(
     ticks = np.arange(1, reps + 1, dtype=np.uint64) + np.uint64(rep_lo)
     stream = mix64(np.uint64(seed) + _GOLDEN * ticks)
 
-    # swap targets, one row per step (n1 first-phase, then n second-phase)
-    # and one column per replication; uint64 arrays wrap silently, as the
-    # counter scheme wants
-    step = np.arange(1, n1 + n + 1, dtype=np.uint64)
-    span = np.concatenate((N - np.arange(n1), n1 - np.arange(n))).astype(np.uint64)
-    k = mix64(stream + _GOLDEN * step[:, None])
-    k %= span[:, None]
-    k = k.view(np.int64)
-    k += np.concatenate((np.arange(n1), np.arange(n)))[:, None]
-
-    # pool[slot, t] is the unit at that slot of replication t: rank each
-    # replication's distinct far targets with one sort of packed (target,
-    # step) keys, then point their steps at n1 + rank
-    cols = np.arange(reps)
-    shift = (n1 - 1).bit_length()
-    keys = (k[:n1] << shift | np.arange(n1)[:, None]).T.copy()
-    keys.sort(axis=1)
-    target = keys >> shift
-    far = target >= n1
-    fresh = far.copy()
-    fresh[:, 1:] &= target[:, 1:] != target[:, :-1]
-    slot = np.where(far, n1 - 1 + np.cumsum(fresh, axis=1), target)
-    k[keys & ((1 << shift) - 1), cols[:, None]] = slot
-    pool = np.empty((2 * n1, reps), np.int64)
-    pool[:n1] = np.arange(n1)[:, None]
-    pool[slot, cols[:, None]] = target
-
-    # swap on the flat pool: slot s of replication t sits at s*reps + t
-    flat = pool.reshape(-1)
-    k *= reps
-    k += cols
-    for j in range(n1):
-        at = k[j]
-        held = pool[j].copy()
-        pool[j] = flat[at]
-        flat[at] = held
-    first = _sorted_rows(pool[:n1])
-    for j in range(n):
-        at = k[n1 + j]
-        held = pool[j].copy()
-        pool[j] = flat[at]
-        flat[at] = held
-    return first, _sorted_rows(pool[:n])
+    first = np.empty((reps, n1), np.int64)
+    keys = np.empty((reps, n1), np.int64)
+    _swap_targets(stream, 1, N, first, keys)
+    _resolve_swaps(first, keys)
+    # phase two shuffles positions of phase one's unsorted result: resolve
+    # it to those positions, reusing the key buffer, then gather
+    at = np.empty((reps, n), np.int64)
+    keys = keys.reshape(-1)[: reps * n].reshape(reps, n)
+    _swap_targets(stream, n1 + 1, n1, at, keys)
+    _resolve_swaps(at, keys)
+    at += np.arange(0, reps * n1, n1)[:, None]
+    second = first.reshape(-1)[at]
+    first.sort(axis=1)
+    second.sort(axis=1)
+    return first, second
 
 
 def _powers(f, f2):

@@ -381,6 +381,15 @@ def _next_sets(sets, count: int, width: int) -> np.ndarray:
     return np.fromiter(flat, np.int64).reshape(-1, width)
 
 
+def _count_text(count: int) -> str:
+    """A positive count in full when short, else its size, as in "about 10^8830.7".
+
+    Python refuses to print an int of more than 4300 digits, and
+    float(count) overflows long before that; math.log10 takes any int.
+    """
+    return str(count) if count < 10**30 else f"about 10^{math.log10(count):.1f}"
+
+
 def enumerate_exact(
     frame: PopulationFrame,
     design: DesignSpec,
@@ -415,7 +424,7 @@ def enumerate_exact(
     total = k1 * k2
     if total > cap:
         raise TooManySamples(
-            f"{total} two-phase pairs exceed the budget of {cap}"
+            f"{_count_text(total)} two-phase pairs exceed the budget of {cap}"
         )
 
     m = population_moments(frame)

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from io import StringIO
 
@@ -604,6 +606,20 @@ class TestEnumerateCommand:
         )
         assert code == 1
         assert "budget" in err
+
+    def test_pair_count_too_long_to_print_is_data_error(self, tmp_path):
+        # 5415 digits of pairs: past Python's 4300-digit limit for str(int)
+        path = tmp_path / "wide.csv"
+        rows = (f"{i % 7 + 1},{i % 5 + 1},{i % 3 + 1}\n" for i in range(12_000))
+        path.write_text("y,x,z\n" + "".join(rows))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(c2p.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["enumerate", "--pop", str(path), "--n1", "6000", "--n", "3000", "--estimator", "sample-r"]
+        proc = subprocess.run([sys.executable, "-m", "corr2phase.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: about 10^5414.4 two-phase pairs exceed the budget of 2000000\n"
+        assert proc.stdout == ""
 
 
 class TestTopLevel:

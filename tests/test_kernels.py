@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corr2phase as c2p
@@ -97,6 +97,87 @@ class TestRngContract:
             f, s = draw_pair(N, n1, n, seed, rep_lo + t)
             assert first[t].tolist() == f, t
             assert second[t].tolist() == s, t
+
+
+def _replay(targets, span):
+    """Each row's partial Fisher-Yates pass, swap by swap, over range(span)."""
+    out = []
+    for row in targets.tolist():
+        pool = list(range(span))
+        for j, k in enumerate(row):
+            pool[j], pool[k] = pool[k], pool[j]
+        out.append(pool[: len(row)])
+    return out
+
+
+@st.composite
+def swap_targets(draw):
+    """(targets, span): rows of targets t[j] in [j, span), adversarial shapes forced.
+
+    'equal' sends every step to one target; 'identity' has t_j = j;
+    'cascade' has t_j = j + 1, then a last step back onto m - 1, whose
+    chain of links runs through every earlier step; 'random' covers the
+    rest, with a small span so that targets repeat.
+    """
+    m = draw(st.integers(2, 12))
+    span = m + draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["random", "equal", "identity", "cascade"]))
+        if shape == "equal":
+            rows.append([draw(st.integers(m - 1, span - 1))] * m)
+        elif shape == "identity":
+            rows.append(list(range(m)))
+        elif shape == "cascade":
+            rows.append(list(range(1, m)) + [m - 1])
+        else:
+            rows.append([draw(st.integers(j, span - 1)) for j in range(m)])
+    return np.array(rows, np.int64), span
+
+
+@st.composite
+def small_designs(draw):
+    """(N, n1, n, reps, rep_lo) with N <= 200, often n = 2 or n = n1 = N or rep_lo near 2**64."""
+    N = draw(st.integers(2, 200))
+    n1 = draw(st.one_of(st.just(N), st.integers(2, N)))
+    n = draw(st.one_of(st.just(2), st.just(n1), st.integers(2, n1)))
+    reps = draw(st.integers(0, 4))
+    top = 2**64 - 1 - reps
+    rep_lo = draw(st.one_of(st.integers(0, 1000), st.integers(top - 3, top)))
+    return N, n1, n, reps, rep_lo
+
+
+class TestLoopFreeDraw:
+    @given(case=swap_targets())
+    @settings(max_examples=150, deadline=None)
+    def test_resolver_matches_swap_replay(self, case):
+        targets, span = case
+        got = targets.copy()
+        K._resolve_swaps(got, np.empty_like(got))
+        assert got.tolist() == _replay(targets, span)
+
+    def test_longest_chain(self):
+        # t_j = j + 1 carries unit 0 forward one position per step; step
+        # m - 1 then fetches it back through a chain of m - 1 links
+        m = 40
+        targets = np.array([list(range(1, m)) + [m - 1]], np.int64)
+        got = targets.copy()
+        K._resolve_swaps(got, np.empty_like(got))
+        assert got.tolist() == _replay(targets, m) == [list(range(1, m)) + [0]]
+
+    @given(design=small_designs(), seed=st.integers(0, 2**64 - 1))
+    @example(design=(7, 7, 7, 3, 0), seed=1)  # census: n = n1 = N
+    @example(design=(200, 50, 2, 3, 2**64 - 4), seed=2**64 - 1)  # the last replications
+    @example(design=(30, 10, 5, 0, 0), seed=5)  # no replications
+    @settings(max_examples=60, deadline=None)
+    def test_draw_matches_oracle(self, design, seed):
+        N, n1, n, reps, rep_lo = design
+        first, second = K.draw_rows(N, n1, n, reps=reps, seed=seed, rep_lo=rep_lo)
+        assert first.shape == (reps, n1) and second.shape == (reps, n)
+        for rows in (first, second):
+            assert rows.dtype == np.int64 and rows.flags.c_contiguous
+        for t in range(reps):
+            assert (first[t].tolist(), second[t].tolist()) == draw_pair(N, n1, n, seed, rep_lo + t)
 
 
 CORE = ("r", "u", "v", "w", "a")

@@ -83,6 +83,14 @@ class TestEnumeration:
         with pytest.raises(TooManySamples):
             c2p.enumerate_exact(six_frame, NESTED, "sample-r", cap=10)
 
+    def test_pair_count_too_long_to_print(self):
+        # C(12000, 6000) * C(6000, 3000) has 5415 digits; Python refuses
+        # to print an int of more than 4300, so the message gives its size
+        frame = c2p.synthetic_population(12_000, 1)
+        design = c2p.DesignSpec(12_000, 6_000, 3_000)
+        with pytest.raises(TooManySamples, match=r"^about 10\^5414\.4 two-phase pairs exceed"):
+            c2p.enumerate_exact(frame, design, "sample-r")
+
     def test_two_point_second_phase_skips_everything(self, six_frame):
         with pytest.raises(AllSamplesDegenerate):
             c2p.enumerate_exact(six_frame, c2p.DesignSpec(6, 4, 2), "td-star:power")

@@ -18,6 +18,8 @@ fails also keeps its return code and the end of its stderr), the
 traced runs with their per-layer shares, and per workload and end-to-end
 metric the median and quartiles of each side, the pairs the change won, the
 parent's interquartile range and the pairs that lack the metric on a side.
+The summary also says whether the --claim is met and lists the other metrics
+that regressed past their BENCHMARK.json bounds (verdict()).
 """
 
 from __future__ import annotations
@@ -114,6 +116,38 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def verdict(summary: dict, metrics: list[dict], claim: dict | None) -> dict:
+    """The gate's reading of a summary: whether the claim is met, and what regressed.
+
+    The claim is met when the change won at least 9 in 10 of the pairs
+    run and its median beats the parent's, in the metric's better direction,
+    by more than the parent's interquartile range; with no claim,
+    claim_met is None. A regression is any other workload and metric
+    whose change median is worse than the parent's by more than the
+    metric's relative bound from BENCHMARK.json.
+    """
+    claimed = (claim["workload"], claim["metric"]) if claim else None
+    claim_met = None if claim is None else False
+    regressions = []
+    for workload, entry in summary.items():
+        for metric in metrics:
+            name = metric["name"]
+            stats = entry.get(name, {})
+            if "pairs" not in stats:
+                continue
+            sign = 1.0 if metric["better"] == "higher" else -1.0
+            if (workload, name) == claimed:
+                gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+                run = stats["pairs"] + stats["missing_pairs"]  # a failed pair is not a win
+                wins = stats["change_wins"] * 10 >= run * 9
+                claim_met = wins and gain > stats["parent_iqr"]
+            elif -sign * stats["median_change_rel"] > metric["bound"]:
+                regressions.append({"workload": workload, "metric": name,
+                                    "median_change_rel": stats["median_change_rel"],
+                                    "bound": metric["bound"]})
+    return {"claim_met": claim_met, "regressions": regressions}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -155,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         claim = {"workload": workload, "metric": metric}
+    summary = summarize(runs, bench["end_to_end"])
     report = {
         "change": args.change_text,
         "claim": claim,
@@ -168,11 +203,12 @@ def main(argv: list[str] | None = None) -> int:
             "made in, 'error' the return code and stderr tail of a run that failed. "
             "'summary' gives per workload and metric the median and quartiles of each "
             "side, the pairs the change won, the parent's interquartile range and the "
-            "pairs that lack the metric on a side (missing_pairs). "
+            "pairs that lack the metric on a side (missing_pairs); 'claim_met' and "
+            "'regressions' are the gate's reading of it (see verdict()). "
             f"'traces' holds --seconds {TRACE_SECONDS:g} --trace 1 runs, one per side."
         ),
         "runs": runs,
-        "summary": summarize(runs, bench["end_to_end"]),
+        "summary": {**summary, **verdict(summary, bench["end_to_end"], claim)},
         "traces": traces,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
