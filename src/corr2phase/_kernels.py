@@ -9,20 +9,25 @@ replication and its cost does not grow with N.
 Floating-point statistics are exactly reproducible for the same index
 arrays.
 
-The statistics of a two-phase pair split by phase: first_phase_rows
-reads only the first-phase set, second_phase_rows only the second, and
-pair_rows joins them into named columns (PairStats): the second-phase
-columns taken by the ranks of the b x k paired sets, the first-phase
-columns left as (b, 1) views that broadcast over them. stats_rows is
+The statistics of a two-phase pair split by phase, each phase's as
+named columns: first_phase_rows reads only the first-phase set
+(FirstPhase: the raw means and variances of x and z), second_phase_rows
+only the second (SecondPhase: r, the mean and variance of x, the
+plug-in weights). pair_rows joins them into PairStats and is the one
+place that forms the four ratios u, v, w and a: the second-phase
+columns are taken by the ranks of the b x k paired sets, the
+first-phase columns stay (b, 1) and broadcast over them. stats_rows is
 the k = 1 case, pairing row t with row t; exact enumeration computes
 each distinct set once and pairs a block of first-phase sets with
-their subsets by rank (subset_ranker).
+their subsets by rank (subset_ranker); sampling.sample_statistics is
+the one-row case.
 
-moment_rows is the one place that computes means, sums of products and
-standardized moments d_pqm, over (rows x units) arrays: the gathered
-second-phase rows here, the one row of a sample in sampling, and the
-one row of a whole population in moments. Census samples therefore
-reproduce the population table bit for bit.
+moment_rows computes means, sums of products and standardized moments
+d_pqm over (rows x units) arrays: the gathered second-phase rows here,
+the one row of a sample in sampling, and the one row of a whole
+population in moments. Census samples therefore reproduce the
+population table bit for bit. first_phase_rows needs only two means and
+two sums of squares, and computes them itself in the same operations.
 
 The variance slopes (scaled_slopes, times r so that they stay finite
 at r = 0) and the solve of each axis's 2x2 system for the optimum
@@ -54,9 +59,6 @@ def resolve_backend(backend: None = None) -> str:
     """Name of the kernel implementation: always "numpy"."""
     return "numpy"
 
-
-# Width of a second_phase_rows row.
-SECOND_COLS = 7
 
 # Scratch of one replication through draw_rows and stats_rows, in 8-byte
 # elements per first-phase unit: a bound that holds for any n <= n1. The
@@ -378,35 +380,55 @@ def constant_rows(*columns):
     return reduce(np.logical_or, ((c == c[:, :1]).all(axis=1) for c in columns))
 
 
-def first_phase_rows(
-    x: np.ndarray,
-    z: np.ndarray,
-    first: np.ndarray,
-    aux_zbar: float,
-    aux_sz2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-phase statistics of a batch of index rows.
+class FirstPhase(NamedTuple):
+    """First-phase moments of a batch of index rows, one entry per set.
 
-    Returns (rows, flags). rows[t] holds [mean_x1, s2_x1, w, a] for
-    first-phase set t, where w and a compare the first-phase mean and
-    variance of z with the known ones; flags[t] is FLAG_DEGENERATE when
-    x or z is constant over the set, else 0.
+    The means and variances (divisor n1 - 1) of x and z. flags is
+    FLAG_DEGENERATE where x or z is constant over the set or has no
+    positive variance, else 0.
     """
+
+    xbar: np.ndarray
+    s2_x: np.ndarray
+    zbar: np.ndarray
+    s2_z: np.ndarray
+    flags: np.ndarray
+
+
+def first_phase_rows(x: np.ndarray, z: np.ndarray, first: np.ndarray) -> FirstPhase:
+    """First-phase moments of a batch of index rows (FirstPhase)."""
     x, z = (np.asarray(arr, dtype=np.float64) for arr in (x, z))
     n1 = first.shape[1]
     x1 = x[first]
     z1 = z[first]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xbar1 = x1.mean(axis=1)
-        zbar1 = z1.mean(axis=1)
-        vx1 = ((x1 - xbar1[:, None]) ** 2).sum(axis=1)
-        vz1 = ((z1 - zbar1[:, None]) ** 2).sum(axis=1)
-        sx2_1 = vx1 / (n1 - 1.0)
-        sz2_1 = vz1 / (n1 - 1.0)
-        rows = np.column_stack((xbar1, sx2_1, zbar1 / aux_zbar, sz2_1 / aux_sz2))
+        xbar = x1.mean(axis=1)
+        zbar = z1.mean(axis=1)
+        s2_x = ((x1 - xbar[:, None]) ** 2).sum(axis=1) / (n1 - 1.0)
+        s2_z = ((z1 - zbar[:, None]) ** 2).sum(axis=1) / (n1 - 1.0)
     flags = np.zeros(first.shape[0], np.uint8)
-    flags[constant_rows(x1, z1) | (vx1 <= 0.0) | (vz1 <= 0.0)] = FLAG_DEGENERATE
-    return rows, flags
+    flags[constant_rows(x1, z1) | (s2_x <= 0.0) | (s2_z <= 0.0)] = FLAG_DEGENERATE
+    return FirstPhase(xbar, s2_x, zbar, s2_z, flags)
+
+
+class SecondPhase(NamedTuple):
+    """Second-phase statistics of a batch of index rows, one entry per set.
+
+    The sample correlation r, the mean and variance (divisor n - 1) of
+    x, and the plug-in optimum weights alpha, beta, gamma and delta.
+    flags is FLAG_DEGENERATE where y, x or z is constant over the set,
+    else FLAG_SINGULAR where the plug-in weights cannot be formed, else
+    0.
+    """
+
+    r: np.ndarray
+    xbar: np.ndarray
+    s2_x: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    flags: np.ndarray
 
 
 def second_phase_rows(
@@ -414,15 +436,8 @@ def second_phase_rows(
     x: np.ndarray,
     z: np.ndarray,
     second: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Second-phase statistics of a batch of index rows.
-
-    Returns (rows, flags). rows[t] holds [r, mean_x, s2_x, alpha, beta,
-    gamma, delta] for second-phase set t: the sample correlation, the
-    mean and variance of x, and the plug-in optimum weights. flags[t] is
-    FLAG_DEGENERATE when y, x or z is constant over the set, else
-    FLAG_SINGULAR when the plug-in weights cannot be formed, else 0.
-    """
+) -> SecondPhase:
+    """Second-phase statistics of a batch of index rows (SecondPhase)."""
     y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
     n = second.shape[1]
     columns = (y[second], x[second], z[second])
@@ -441,21 +456,20 @@ def second_phase_rows(
         span_z, singular_z = spread(std[0, 0, 4], std[0, 0, 3])
         c_x, c_z = np.sqrt(sx2) / xbar, np.sqrt(sz2) / zbar
         slopes = scaled_slopes(d, c_x, c_z, r)
-        weights = optimum_weights(d, c_x, c_z, slopes, span_x, span_z)
-        rows = np.column_stack((r, xbar, sx2) + tuple(e / r for e in weights))
+        weights = tuple(e / r for e in optimum_weights(d, c_x, c_z, slopes, span_x, span_z))
         singular = (
             (xbar == 0.0)
             | (zbar == 0.0)
             | (np.abs(r) < ZERO_R_TOL)
             | singular_x
             | singular_z
-            | ~np.isfinite(rows[:, 3:]).all(axis=1)
+            | ~reduce(np.logical_and, map(np.isfinite, weights))
         )
     flags = np.zeros(second.shape[0], np.uint8)
     flags[singular] = FLAG_SINGULAR
     degenerate = constant_rows(*columns) | (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)
     flags[degenerate] = FLAG_DEGENERATE
-    return rows, flags
+    return SecondPhase(r, xbar, sx2, *weights, flags)
 
 
 class PairStats(NamedTuple):
@@ -463,10 +477,10 @@ class PairStats(NamedTuple):
 
     r, u and v and the plug-in weights alpha, beta, gamma and delta are
     (b, k) arrays; w and a, which depend on the first phase only, are
-    (b, 1) views of the first-phase table. flags is (b, k): 0 or one of
-    FLAG_DEGENERATE, FLAG_NONFINITE, FLAG_SINGULAR. Entries are defined
-    only where their flag allows: nothing under DEGENERATE or NONFINITE,
-    r, u, v, w and a under SINGULAR.
+    (b, 1) columns. flags is (b, k): 0 or one of FLAG_DEGENERATE,
+    FLAG_NONFINITE, FLAG_SINGULAR. Entries are defined only where their
+    flag allows: nothing under DEGENERATE or NONFINITE, r, u, v, w and a
+    under SINGULAR.
     """
 
     r: np.ndarray
@@ -481,32 +495,31 @@ class PairStats(NamedTuple):
     flags: np.ndarray
 
 
-def pair_rows(first_stats, second_stats, i2) -> PairStats:
+def pair_rows(
+    first: FirstPhase, second: SecondPhase, i2: np.ndarray, aux_zbar: float, aux_sz2: float
+) -> PairStats:
     """Statistics of the two-phase pairs that i2 spells out.
 
-    first_stats and second_stats are the (rows, flags) results of
-    first_phase_rows and second_phase_rows. i2 is a (b, k) array of
-    second-phase row indices: entry [t, j] pairs first-phase row t with
-    second-phase row i2[t, j]. The second-phase columns are taken by i2;
-    the first-phase columns stay (b, 1) and broadcast over the k pairs
-    of their row.
+    i2 is a (b, k) array of second-phase row indices: entry [t, j] pairs
+    first-phase row t with second-phase row i2[t, j]. The second-phase
+    columns are taken by i2; the first-phase columns stay (b, 1) and
+    broadcast over the k pairs of their row. This is the one place that
+    forms the four ratios: u and v compare the second-phase mean and
+    variance of x with the first-phase ones, w and a the first-phase
+    mean and variance of z with the known aux_zbar and aux_sz2.
     """
-    first, first_flags = first_stats
-    second, second_flags = second_stats
-    r, xbar, sx2, alpha, beta, gamma, delta = (
-        second[:, c].take(i2) for c in range(SECOND_COLS)
-    )
+    s = SecondPhase._make(column.take(i2) for column in second)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = xbar / first[:, 0, None]
-        v = sx2 / first[:, 1, None]
-    w, a = first[:, 2, None], first[:, 3, None]
-    pair_flags = second_flags.take(i2)
-    finite = reduce(np.logical_and, map(np.isfinite, (r, u, v, w, a)))
+        u = s.xbar / first.xbar[:, None]
+        v = s.s2_x / first.s2_x[:, None]
+        w = (first.zbar / aux_zbar)[:, None]
+        a = (first.s2_z / aux_sz2)[:, None]
+    finite = reduce(np.logical_and, map(np.isfinite, (s.r, u, v, w, a)))
     # later writes win: degenerate before nonfinite before singular
-    flags = pair_flags & FLAG_SINGULAR
+    flags = s.flags & FLAG_SINGULAR
     flags[~finite] = FLAG_NONFINITE
-    flags[((first_flags[:, None] | pair_flags) & FLAG_DEGENERATE) != 0] = FLAG_DEGENERATE
-    return PairStats(r, u, v, w, a, alpha, beta, gamma, delta, flags)
+    flags[((first.flags[:, None] | s.flags) & FLAG_DEGENERATE) != 0] = FLAG_DEGENERATE
+    return PairStats(s.r, u, v, w, a, s.alpha, s.beta, s.gamma, s.delta, flags)
 
 
 def stats_rows(
@@ -525,9 +538,11 @@ def stats_rows(
     u, v, w and a.
     """
     return pair_rows(
-        first_phase_rows(x, z, first, aux_zbar, aux_sz2),
+        first_phase_rows(x, z, first),
         second_phase_rows(y, x, z, second),
         np.arange(first.shape[0])[:, None],
+        aux_zbar,
+        aux_sz2,
     )
 
 

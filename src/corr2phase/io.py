@@ -218,10 +218,6 @@ def render_report(doc: Mapping[str, object]) -> str:
     return json.dumps(_round_floats(body), indent=2, sort_keys=True) + "\n"
 
 
-def _design_doc(design) -> dict:
-    return {"N": design.N, "n1": design.n1, "n": design.n}
-
-
 def moments_doc(m: MomentSet) -> dict:
     doc = {"kind": "moments"}
     doc.update(moments_to_params(m))
@@ -252,7 +248,6 @@ def efficiency_doc(report: VarianceReport, source: str | None = None) -> dict:
 def statistics_doc(stats: SampleStatistics) -> dict:
     doc = asdict(stats)
     doc.pop("delta_hat")
-    doc["aux"] = {"zbar": stats.aux.zbar, "sz2": stats.aux.sz2}
     return doc
 
 
@@ -266,7 +261,7 @@ def estimate_doc(
 ) -> dict:
     return {
         "kind": "estimate",
-        "design": _design_doc(sample.design),
+        "design": asdict(sample.design),
         "seed": sample.seed,
         "rep": sample.rep,
         "statistics": statistics_doc(stats),
@@ -278,36 +273,8 @@ def estimate_doc(
 
 
 def simulation_doc(result: SimulationResult) -> dict:
-    return {
-        "kind": "simulate",
-        "design": _design_doc(result.design),
-        "estimator": result.estimator,
-        "seed": result.seed,
-        "rho_yx": result.rho_yx,
-        "reps_requested": result.reps_requested,
-        "reps_used": result.reps_used,
-        "reps_skipped": result.reps_skipped,
-        "skip_reasons": dict(result.skip_reasons),
-        "mean_estimate": result.mean_estimate,
-        "bias": result.bias,
-        "empirical_mse": result.empirical_mse,
-        "mc_se_mean": result.mc_se_mean,
-        "mc_se_mse": result.mc_se_mse,
-        "analytic_variance": result.analytic_variance,
-    }
+    return {"kind": "simulate", **asdict(result)}
 
 
 def enumeration_doc(result: EnumerationResult) -> dict:
-    return {
-        "kind": "enumerate",
-        "design": _design_doc(result.design),
-        "estimator": result.estimator,
-        "rho_yx": result.rho_yx,
-        "pairs_total": result.pairs_total,
-        "pairs_used": result.pairs_used,
-        "pairs_skipped": result.pairs_skipped,
-        "skip_reasons": dict(result.skip_reasons),
-        "mean_estimate": result.mean_estimate,
-        "bias": result.bias,
-        "exact_mse": result.exact_mse,
-    }
+    return {"kind": "enumerate", **asdict(result)}

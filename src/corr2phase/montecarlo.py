@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
@@ -313,9 +314,9 @@ def simulate(
     The known z moments handed to the estimators are the exact
     population values of the frame. Results depend on (frame, design,
     estimator, reps, seed) only; workers change speed, never the
-    draws or the result. The seed must lie in [0, 2**64). A reps count
-    whose values and skip codes do not fit in memory raises
-    TooManySamples.
+    draws or the result, and at most min(workers, chunks, CPUs) threads
+    run. The seed must lie in [0, 2**64). A reps count whose values and
+    skip codes do not fit in memory raises TooManySamples.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -347,11 +348,14 @@ def simulate(
         )
         values[lo:hi], codes[lo:hi] = evaluate_rows(spec, stats)
 
-    if workers == 1 or len(spans) == 1:
+    # pool.map starts a thread per span up to max_workers, so more
+    # threads than spans or cores would only cost
+    threads = min(workers, len(spans), os.cpu_count() or 1)
+    if threads == 1:
         for span in spans:
             fill(span)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, spans))
 
     k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
@@ -436,17 +440,13 @@ def enumerate_exact(
 
     # every second-phase set is an n-subset of range(N): compute each
     # one's statistics once, in itertools order, and find them by rank
-    k_sets = math.comb(design.N, design.n)
-    second_rows = np.empty((_kernels.SECOND_COLS, k_sets)).T  # pair_rows reads columns
-    second_flags = np.empty(k_sets, np.uint8)
     subsets = itertools.combinations(range(design.N), design.n)
     step = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n)
-    for lo in range(0, k_sets, step):
-        sets = _next_sets(subsets, step, design.n)
-        hi = lo + sets.shape[0]
-        second_rows[lo:hi], second_flags[lo:hi] = _kernels.second_phase_rows(
-            frame.y, frame.x, frame.z, sets
-        )
+    parts = (
+        _kernels.second_phase_rows(frame.y, frame.x, frame.z, _next_sets(subsets, step, design.n))
+        for _ in range(0, math.comb(design.N, design.n), step)
+    )
+    second = _kernels.SecondPhase._make(map(np.concatenate, zip(*parts)))
     rank = _kernels.subset_ranker(design.N, design.n)
 
     first_sets = itertools.combinations(range(design.N), design.n1)
@@ -455,9 +455,11 @@ def enumerate_exact(
     for _ in range(0, k1, block):
         fblock = _next_sets(first_sets, block, design.n1)
         stats = _kernels.pair_rows(
-            _kernels.first_phase_rows(frame.x, frame.z, fblock, aux.zbar, aux.sz2),
-            (second_rows, second_flags),
+            _kernels.first_phase_rows(frame.x, frame.z, fblock),
+            second,
             rank(fblock, patterns),
+            aux.zbar,
+            aux.sz2,
         )
         values, codes = evaluate_rows(spec, stats)
         tally = _tally(tally, values, codes, m.rho_yx)

@@ -175,13 +175,15 @@ def sample_statistics(
 ) -> SampleStatistics:
     """Compute the full statistics bundle for one sample.
 
-    The one-row case of the kernels: _kernels.first_phase_rows on the
-    first-phase set, with unit known z moments so that its w and a
-    columns hold the raw first-phase mean and variance of z, and
-    _kernels.moment_rows on the second-phase set. So r, u, v, w, a and
-    the plug-in weights equal the fields of that draw's entry in
-    stats_rows bit for bit, and a census sample reproduces
-    population_moments.
+    The one-row case of the kernels: r, u, v, w and a, the first-phase
+    means and variances of x and z, the second-phase ones of x and the
+    degeneracy tests come from _kernels.first_phase_rows,
+    second_phase_rows and pair_rows on this sample's sets, so they equal
+    that draw's entry in stats_rows bit for bit, and so do the plug-in
+    weights that estimated_optimum_constants forms from delta_hat. The
+    moments only this bundle reports (the second-phase moments of y and
+    z, s_yx, delta_hat) come from _kernels.moment_rows, so a census
+    sample reproduces population_moments.
 
     Raises DegenerateSample when a variable that the ratios divide by
     is constant or has zero variance: y, x, z within the second phase,
@@ -194,33 +196,28 @@ def sample_statistics(
         raise InvalidDesign("sample and population disagree on N")
     n1, n = sample.design.n1, sample.design.n
 
-    first_row, _ = _kernels.first_phase_rows(
-        frame.x, frame.z, sample.first_phase[None], 1.0, 1.0
-    )
-    xbar1, s2_x_first, zbar1, s2_z_first = (float(v) for v in first_row[0])
-    _finite("sample s2_x_first", s2_x_first)
-    _finite("sample s2_z_first", s2_z_first)
-
-    second = sample.second_phase[None]
-    columns = (frame.y[second], frame.x[second], frame.z[second])
-    means, sums, d = _kernels.moment_rows(*columns, _kernels.SAMPLE_TRIPLES)
-    ybar, xbar, zbar = (float(mean[0]) for mean in means)
-    m200, m020, m002 = (float(sums[t][0]) for t in _kernels.SECOND_ORDER_TRIPLES)
-    if min(m200, m020, m002) <= 0.0 or _kernels.constant_rows(*columns)[0]:
+    first = _kernels.first_phase_rows(frame.x, frame.z, sample.first_phase[None])
+    s2_x_first = _finite("sample s2_x_first", float(first.s2_x[0]))
+    s2_z_first = _finite("sample s2_z_first", float(first.s2_z[0]))
+    second = _kernels.second_phase_rows(frame.y, frame.x, frame.z, sample.second_phase[None])
+    if second.flags[0] == _kernels.FLAG_DEGENERATE:
         raise DegenerateSample("a second-phase variable is constant in the sample")
-    if min(s2_x_first, s2_z_first) <= 0.0:
+    if first.flags[0] == _kernels.FLAG_DEGENERATE:
         raise DegenerateSample("a first-phase auxiliary is constant in the sample")
-    if xbar1 == 0.0:
+    if first.xbar[0] == 0.0:
         raise SingularDenominator(
             "first-phase mean of x is zero; the mean ratio is undefined"
         )
+    pair = _kernels.pair_rows(first, second, np.zeros((1, 1), np.intp), aux.zbar, aux.sz2)
 
-    s2_y = _finite("sample s2_y", m200 / (n - 1))
-    s2_x = _finite("sample s2_x", m020 / (n - 1))
-    s2_z = _finite("sample s2_z", m002 / (n - 1))
-    s_yx = float(sums[1, 1, 0][0]) / (n - 1)
-    r = s_yx / math.sqrt(s2_y * s2_x)
-
+    at = sample.second_phase[None]
+    means, sums, d = _kernels.moment_rows(
+        frame.y[at], frame.x[at], frame.z[at], _kernels.SAMPLE_TRIPLES
+    )
+    mean_y, mean_x, mean_z = float(means[0][0]), float(second.xbar[0]), float(means[2][0])
+    s2_y = _finite("sample s2_y", float(sums[2, 0, 0][0]) / (n - 1))
+    s2_x = _finite("sample s2_x", float(second.s2_x[0]))
+    s2_z = _finite("sample s2_z", float(sums[0, 0, 2][0]) / (n - 1))
     delta_hat = dict.fromkeys(_kernels.SECOND_ORDER_TRIPLES, 1.0)
     for triple in _kernels.WEIGHT_TRIPLES:
         delta_hat[triple] = _finite(f"sample {delta_name(triple)}", float(d[triple][0]))
@@ -228,24 +225,24 @@ def sample_statistics(
     return SampleStatistics(
         n=n,
         n1=n1,
-        r=r,
-        u=xbar / xbar1,
-        v=s2_x / s2_x_first,
-        w=zbar1 / aux.zbar,
-        a=s2_z_first / aux.sz2,
-        mean_y=ybar,
-        mean_x=xbar,
-        mean_z=zbar,
-        mean_x_first=xbar1,
-        mean_z_first=zbar1,
+        r=float(pair.r[0, 0]),
+        u=float(pair.u[0, 0]),
+        v=float(pair.v[0, 0]),
+        w=float(pair.w[0, 0]),
+        a=float(pair.a[0, 0]),
+        mean_y=mean_y,
+        mean_x=mean_x,
+        mean_z=mean_z,
+        mean_x_first=float(first.xbar[0]),
+        mean_z_first=float(first.zbar[0]),
         s2_y=s2_y,
         s2_x=s2_x,
         s2_z=s2_z,
-        s_yx=s_yx,
+        s_yx=float(sums[1, 1, 0][0]) / (n - 1),
         s2_x_first=s2_x_first,
         s2_z_first=s2_z_first,
-        c_x_hat=math.sqrt(s2_x) / xbar if xbar != 0.0 else None,
-        c_z_hat=math.sqrt(s2_z) / zbar if zbar != 0.0 else None,
+        c_x_hat=math.sqrt(s2_x) / mean_x if mean_x != 0.0 else None,
+        c_z_hat=math.sqrt(s2_z) / mean_z if mean_z != 0.0 else None,
         delta_hat=delta_hat,
         aux=aux,
     )

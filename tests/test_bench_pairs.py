@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the summary that every BENCH_*.json file carries."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -150,3 +151,50 @@ def test_the_claimed_metric_is_not_a_regression(bench_pairs):
     runs = _pairs([100.0] * 3, [50.0] * 3, "items_per_s")
     verdict = _verdict(bench_pairs, runs)
     assert verdict == {"claim_met": False, "regressions": []}
+
+
+def _no_run(*args):
+    raise AssertionError("a benchmark run started before the arguments were checked")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--claim", "enum-exact"], "expected WORKLOAD:METRIC"),
+    (["--claim", "enum-exact:item_per_s"], "METRIC must be one of"),
+    (["--claim", "sim-bigframe:items_per_s"], "no --pairs run sim-bigframe"),
+    (["--trace", "sim-bigframe"], "expected WORKLOAD:SEED"),
+    (["--trace", "sim-bigframe:x"], "is not an integer >= 0"),
+    (["--pairs", "enum-exactt=3"], "WORKLOAD one of"),
+    (["--pairs", "theory-csv=0"], "is not an integer >= 1"),
+    (["--pairs", "theory-csv:3"], "expected WORKLOAD=COUNT"),
+])
+def test_bad_specs_stop_before_any_run(bench_pairs, monkeypatch, tmp_path, capsys, extra, message):
+    monkeypatch.setattr(bench_pairs, "run_once", _no_run)
+    argv = ["--parent", str(tmp_path), "--out", str(tmp_path / "out.json"),
+            "--change-text", "t", "--pairs", "enum-exact=2"] + extra
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_good_specs_run_every_pair_and_trace(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, seed, trace))
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"items_per_s": {"value": 2.0 if checkout == bench_pairs.ROOT else 1.0}}}
+        return {"result": result, "info": [], "machine": {"cpus": 1}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: "parent")
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(tmp_path), "--out", str(out), "--change-text", "t",
+            "--pairs", "enum-exact=2", "--seed", "5", "--claim", "enum-exact:items_per_s",
+            "--trace", "theory-csv:7"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("enum-exact", 5, 0)] * 2 + [("enum-exact", 6, 0)] * 2 + [("theory-csv", 7, 1)] * 2
+    report = json.loads(out.read_text())
+    assert report["claim"] == {"workload": "enum-exact", "metric": "items_per_s"}
+    assert report["summary"]["enum-exact"]["items_per_s"]["change_wins"] == 2

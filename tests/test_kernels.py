@@ -247,10 +247,10 @@ class TestStatsRows:
         other = np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0])
         sets = np.array([[0, 1, 2], [0, 1, 3]])
         for x, z in ((v, other), (other, v)):
-            _, flags = K.first_phase_rows(x, z, sets, 1.0, 1.0)
+            flags = K.first_phase_rows(x, z, sets).flags
             assert flags.tolist() == [K.FLAG_DEGENERATE, 0]
         for y, x, z in ((v, other, other), (other, v, other), (other, other, v)):
-            _, flags = K.second_phase_rows(y, x, z, sets)
+            flags = K.second_phase_rows(y, x, z, sets).flags
             assert flags[0] == K.FLAG_DEGENERATE
             assert flags[1] != K.FLAG_DEGENERATE
 
@@ -390,8 +390,9 @@ class TestMomentRowsOracle:
     def test_first_phase_rows_match_exact_moments(self, cols):
         _, x, z = cols
         n = x.shape[0]
-        rows, flags = K.first_phase_rows(x, z, np.arange(n)[None], 1.0, 1.0)
-        for col, mean, var in ((x, rows[0, 0], rows[0, 1]), (z, rows[0, 2], rows[0, 3])):
+        first = K.first_phase_rows(x, z, np.arange(n)[None])
+        flags = first.flags
+        for col, mean, var in ((x, first.xbar[0], first.s2_x[0]), (z, first.zbar[0], first.s2_z[0])):
             exact = [Fraction(float(v)) for v in col]
             big = float(np.max(np.abs(col)))
             ex_mean = sum(exact) / n

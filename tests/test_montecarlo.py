@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corr2phase as c2p
@@ -13,10 +13,12 @@ from corr2phase import _kernels, montecarlo
 from corr2phase.errors import (
     AllSamplesDegenerate,
     Corr2PhaseError,
+    DegenerateSample,
     ExcessiveSkips,
     InvalidDesign,
     InvalidParameter,
     NonFiniteEstimate,
+    SingularDenominator,
     TooManySamples,
 )
 from corr2phase.estimators import ESTIMATOR_KINDS, SKIP_LABELS, evaluate_rows
@@ -217,30 +219,41 @@ class TestEnumerationMatchesPerPair:
         assert seen == set(SKIP_LABELS.values())
 
 
-def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets):
+def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets, aux):
     """pair_rows spelled out one pair at a time in Python floats.
 
     Pairs each first-phase set with its n-subsets in itertools order,
-    finds each subset's row by lookup rather than by rank, and builds one
-    row per pair, [r, u, v, w, a, alpha, beta, gamma, delta], and its
-    flag (degenerate before nonfinite before singular).
+    finds each subset's entry by lookup rather than by rank, divides by
+    the known z moments here, and builds one row per pair, [r, u, v, w,
+    a, alpha, beta, gamma, delta], and its flag (degenerate before
+    nonfinite before singular).
     """
-    (f_rows, f_flags), (s_rows, s_flags) = first_stats, second_stats
-    where = {s: i for i, s in enumerate(subsets)}
+    f, s = first_stats, second_stats
+    where = {sub: i for i, sub in enumerate(subsets)}
     n = len(subsets[0])
     rows, flags = [], []
-    for f, f_flag, first in zip(f_rows.tolist(), f_flags.tolist(), first_sets):
+    for t, first in enumerate(first_sets):
+        f_flag = int(f.flags[t])
         for second in itertools.combinations(first, n):
             j = where[second]
-            s = s_rows[j].tolist()
             with np.errstate(all="ignore"):
-                u, v = (float(np.float64(s[c]) / f[c - 1]) for c in (1, 2))
-            row = [s[0], u, v, f[2], f[3]] + s[3:]
-            if (f_flag | int(s_flags[j])) & _kernels.FLAG_DEGENERATE:
+                u, v, w, a = (
+                    float(np.float64(num) / den)
+                    for num, den in (
+                        (s.xbar[j], float(f.xbar[t])),
+                        (s.s2_x[j], float(f.s2_x[t])),
+                        (f.zbar[t], aux.zbar),
+                        (f.s2_z[t], aux.sz2),
+                    )
+                )
+            row = [float(s.r[j]), u, v, w, a] + [
+                float(s.alpha[j]), float(s.beta[j]), float(s.gamma[j]), float(s.delta[j])
+            ]
+            if (f_flag | int(s.flags[j])) & _kernels.FLAG_DEGENERATE:
                 flag = _kernels.FLAG_DEGENERATE
             elif not all(map(math.isfinite, row[:5])):
                 flag = _kernels.FLAG_NONFINITE
-            elif s_flags[j] == _kernels.FLAG_SINGULAR:
+            elif s.flags[j] == _kernels.FLAG_SINGULAR:
                 flag = _kernels.FLAG_SINGULAR
             else:
                 flag = 0
@@ -259,12 +272,14 @@ class TestPairRows:
         first_sets = list(itertools.combinations(range(design.N), design.n1))
         subsets = list(itertools.combinations(range(design.N), design.n))
         first = np.array(first_sets)
-        first_stats = _kernels.first_phase_rows(TIES.x, TIES.z, first, aux.zbar, aux.sz2)
+        first_stats = _kernels.first_phase_rows(TIES.x, TIES.z, first)
         second_stats = _kernels.second_phase_rows(TIES.y, TIES.x, TIES.z, np.array(subsets))
         patterns = np.array(list(itertools.combinations(range(design.n1), design.n)))
         i2 = _kernels.subset_ranker(design.N, design.n)(first, patterns)
-        stats = _kernels.pair_rows(first_stats, second_stats, i2)
-        want_rows, want_flags = _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets)
+        stats = _kernels.pair_rows(first_stats, second_stats, i2, aux.zbar, aux.sz2)
+        want_rows, want_flags = _pair_rows_per_pair(
+            first_stats, second_stats, first_sets, subsets, aux
+        )
         assert set(np.unique(stats.flags)) == {
             0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
         }
@@ -282,6 +297,64 @@ class TestPairRows:
             np.testing.assert_array_equal(
                 rows[keep, cols].view(np.int64), want_rows[keep, cols].view(np.int64)
             )
+
+
+@st.composite
+def _small_frames(draw):
+    """TIES, a random_population frame, or a frame of small integers
+    whose draws tie, go constant and hit a zero first-phase mean of x."""
+    kind = draw(st.sampled_from(["ties", "random", "integers"]))
+    if kind == "ties":
+        return TIES
+    N = draw(st.integers(4, 10))
+    if kind == "random":
+        return c2p.random_population(N, draw(st.integers(0, 2**32 - 1)))
+    column = st.lists(st.integers(-2, 3), min_size=N, max_size=N).filter(
+        lambda c: len(set(c)) > 1
+    )
+    y, x, z = (np.array(draw(column), float) for _ in range(3))
+    assume(z.mean() != 0.0)
+    return c2p.PopulationFrame(y=y, x=x, z=z)
+
+
+class TestSampleStatisticsMatchesKernel:
+    """sample_statistics is the one-row case of the kernels: it raises the
+    error that a draw's stats_rows flags name, or returns its entry."""
+
+    @given(
+        frame=_small_frames(),
+        sizes=st.tuples(st.integers(2, 10), st.integers(2, 10)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_errors_and_values(self, frame, sizes, seed):
+        n1 = min(max(sizes), frame.N)
+        n = min(min(sizes), n1)
+        design = c2p.DesignSpec(frame.N, n1, n)
+        aux = c2p.KnownAux.from_frame(frame)
+        first, second = _kernels.draw_rows(frame.N, n1, n, reps=20, seed=seed)
+        stats = _kernels.stats_rows(frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2)
+        xbar1 = _kernels.first_phase_rows(frame.x, frame.z, first).xbar
+        for i in range(first.shape[0]):
+            sample = c2p.TwoPhaseSample(design, first[i], second[i])
+            flag = stats.flags[i, 0]
+            if flag == _kernels.FLAG_DEGENERATE:
+                with pytest.raises(DegenerateSample):
+                    c2p.sample_statistics(frame, sample, aux)
+                continue
+            if xbar1[i] == 0.0:
+                with pytest.raises(SingularDenominator):
+                    c2p.sample_statistics(frame, sample, aux)
+                continue
+            one = c2p.sample_statistics(frame, sample, aux)
+            got = (one.r, one.u, one.v, one.w, one.a)
+            assert got == tuple(getattr(stats, name)[i, 0] for name in "ruvwa"), i
+            if flag == _kernels.FLAG_SINGULAR:
+                continue
+            assert flag == 0
+            weights = c2p.estimated_optimum_constants(one).weights()
+            kernel = (stats.alpha, stats.beta, stats.gamma, stats.delta)
+            assert weights == tuple(w[i, 0] for w in kernel), i
 
 
 def _outcome_and_message(run, *args):
@@ -308,9 +381,9 @@ class TestEnumerationBlocks:
         blocks = []
         pair_rows = _kernels.pair_rows
 
-        def one_set_pair_rows(first_stats, second_stats, i2):
+        def one_set_pair_rows(first_stats, second_stats, i2, *aux):
             blocks.append(i2.shape[0])
-            return pair_rows(first_stats, second_stats, i2)
+            return pair_rows(first_stats, second_stats, i2, *aux)
 
         monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: 1)
         monkeypatch.setattr(_kernels, "pair_rows", one_set_pair_rows)
@@ -351,6 +424,43 @@ class TestSimulationChunks:
             monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
             for workers in (1, 2):
                 assert outcomes(workers) == want, (chunk, workers)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, chunk, threads",
+        [
+            (4096, 4, 1, 4),  # 41 spans, capped by the CPUs
+            (4096, 64, 4, 11),  # 11 spans, capped by the spans
+            (3, 8, 1, 3),
+            (8, None, 1, None),  # an unknown CPU count means one thread
+            (8, 8, 41, None),  # one span
+        ],
+    )
+    def test_thread_pool_size(self, monkeypatch, workers, cpus, chunk, threads):
+        # a fake pool records its size and runs the spans in order on this
+        # thread, so no thread is started; a one-thread run makes no pool
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        design = c2p.DesignSpec(8, 5, 3)
+        want = c2p.simulate(TIES, design, "td-star:linear", self.REPS, 20, 1, 1.0)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
+        got = c2p.simulate(TIES, design, "td-star:linear", self.REPS, 20, workers, 1.0)
+        assert got == want
+        assert sizes == ([] if threads is None else [threads])
 
 
 class TestSimulation:

@@ -238,6 +238,41 @@ class TestSampleStatistics:
         with pytest.raises(SingularDenominator):
             c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(frame))
 
+    def test_first_phase_variance_underflow_raises_as_flagged(self):
+        # the first-phase sum of squares of x is positive but divided by
+        # n1 - 1 it underflows to 0, while the second phase keeps a
+        # positive one: the first-phase check, and the kernel's flag
+        x = np.array([0.0, 3.148651039983582e-162, 0.0, 0.0, 0.0])
+        frame = c2p.PopulationFrame(
+            y=np.array([1.0, 2.0, 3.0, 4.0, 9.0]), x=x, z=np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+        )
+        first, second = np.arange(5), np.array([0, 1])
+        aux = c2p.KnownAux.from_frame(frame)
+        stats = _kernels.stats_rows(
+            frame.y, frame.x, frame.z, first[None], second[None], aux.zbar, aux.sz2
+        )
+        assert stats.flags[0, 0] == _kernels.FLAG_DEGENERATE
+        sample = c2p.TwoPhaseSample(c2p.DesignSpec(5, 5, 2), first, second)
+        with pytest.raises(DegenerateSample, match="first-phase"):
+            c2p.sample_statistics(frame, sample, aux)
+
+    def test_underflowing_variance_product_is_a_typed_error(self):
+        # s2_y * s2_x is about 1e-400 and underflows to 0, so r is not
+        # finite and neither are the d_pqm the weights read: that is a
+        # typed error, not a float division by zero
+        frame = c2p.PopulationFrame(
+            y=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 9.0]) * 1e-100,
+            x=np.array([2.0, 1.0, 4.0, 3.0, 8.0, 6.0]) * 1e-100,
+            z=np.array([1.0, 3.0, 2.0, 5.0, 4.0, 8.0]),
+        )
+        sample = c2p.TwoPhaseSample(
+            design=c2p.DesignSpec(N=6, n1=5, n=4),
+            first_phase=np.arange(5),
+            second_phase=np.arange(4),
+        )
+        with pytest.raises(InvalidParameter, match="d_220 is not finite"):
+            c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(frame))
+
     def test_population_mismatch_rejected(self, six_frame):
         design = c2p.DesignSpec(N=7, n1=4, n=3)
         sample = c2p.TwoPhaseSample(

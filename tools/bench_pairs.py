@@ -19,7 +19,9 @@ traced runs with their per-layer shares, and per workload and end-to-end
 metric the median and quartiles of each side, the pairs the change won, the
 parent's interquartile range and the pairs that lack the metric on a side.
 The summary also says whether the --claim is met and lists the other metrics
-that regressed past their BENCHMARK.json bounds (verdict()).
+that regressed past their BENCHMARK.json bounds (verdict()). Every --pairs,
+--claim and --trace value is checked against BENCHMARK.json before the first
+run (check_specs()).
 """
 
 from __future__ import annotations
@@ -148,6 +150,49 @@ def verdict(summary: dict, metrics: list[dict], claim: dict | None) -> dict:
     return {"claim_met": claim_met, "regressions": regressions}
 
 
+def check_specs(parser: argparse.ArgumentParser, args, bench: dict):
+    """The --pairs, --claim and --trace values, checked against BENCHMARK.json.
+
+    Returns ([(workload, count)], [(workload, seed)], claim or None); any
+    bad value stops the tool through parser.error before the first run.
+    """
+    workloads = sorted(w["name"] for w in bench["workloads"])
+    metrics = sorted(m["name"] for m in bench["end_to_end"])
+
+    def split(flag: str, spec: str, sep: str, what: str) -> tuple[str, str]:
+        workload, found, value = spec.partition(sep)
+        if not found or workload not in workloads or not value:
+            parser.error(f"{flag} {spec!r}: expected WORKLOAD{sep}{what}, "
+                         f"WORKLOAD one of {', '.join(workloads)}")
+        return workload, value
+
+    def count(flag: str, spec: str, value: str, least: int) -> int:
+        try:
+            if int(value) >= least:
+                return int(value)
+        except ValueError:
+            pass
+        parser.error(f"{flag} {spec!r}: {value!r} is not an integer >= {least}")
+
+    pairs = []
+    for spec in args.pairs:
+        workload, value = split("--pairs", spec, "=", "COUNT")
+        pairs.append((workload, count("--pairs", spec, value, 1)))
+    traces = []
+    for spec in args.trace:
+        workload, value = split("--trace", spec, ":", "SEED")
+        traces.append((workload, count("--trace", spec, value, 0)))
+    claim = None
+    if args.claim:
+        workload, metric = split("--claim", args.claim, ":", "METRIC")
+        if metric not in metrics:
+            parser.error(f"--claim {args.claim!r}: METRIC must be one of {', '.join(metrics)}")
+        if workload not in {w for w, _ in pairs}:
+            parser.error(f"--claim {args.claim!r}: no --pairs run {workload}")
+        claim = {"workload": workload, "metric": metric}
+    return pairs, traces, claim
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -158,14 +203,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=9001, help="seed of the first pair")
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD:SEED")
     args = parser.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pairs, trace_specs, claim = check_specs(parser, args, bench)
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
     seconds = bench["run_seconds"]
 
     runs, machine, seed = [], None, args.seed
-    for spec in args.pairs:
-        workload, count = spec.split("=")
-        for index in range(int(count)):
+    for workload, count in pairs:
+        for index in range(count):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for side in order:
                 run = run_once(sides[side], workload, seed, seconds, 0)
@@ -177,18 +222,13 @@ def main(argv: list[str] | None = None) -> int:
                       f"{json.dumps(run['result']['metrics'])}", file=sys.stderr)
             seed += 1
     traces = []
-    for spec in args.trace:
-        workload, trace_seed = spec.split(":")
+    for workload, trace_seed in trace_specs:
         for side in ("parent", "change"):
-            run = run_once(sides[side], workload, int(trace_seed), TRACE_SECONDS, 1)
+            run = run_once(sides[side], workload, trace_seed, TRACE_SECONDS, 1)
             facts = run.pop("machine")
             machine = machine or facts
-            traces.append({"side": side, "workload": workload, "seed": int(trace_seed), **run})
+            traces.append({"side": side, "workload": workload, "seed": trace_seed, **run})
 
-    claim = None
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        claim = {"workload": workload, "metric": metric}
     summary = summarize(runs, bench["end_to_end"])
     report = {
         "change": args.change_text,
