@@ -37,19 +37,28 @@ def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> ParseError:
 # from a field as whitespace, float() rejects them.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
+# Suffixes on which numpy's file opener decompresses the file it names
+# (np.lib._datasource._file_openers), here in lower case.
+_COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
-def _has_separators(fh) -> bool:
-    while block := fh.read(1 << 16):
+
+def _plain_text(fh, limit: int) -> bool:
+    """Whether fh has no ASCII separator and no line longer than limit.
+
+    Blocks of at most limit characters leave only the line open across
+    blocks to count. Text that is not UTF-8 raises UnicodeDecodeError.
+    """
+    size = max(1, min(1 << 16, limit))
+    open_line = 0
+    while block := fh.read(size):
         if any(ch in block for ch in _SEPARATORS):
-            return True
-    return False
-
-
-def _short_lines(fh, limit: int):
-    for line in fh:
-        if len(line) > limit:
-            raise ValueError("line longer than the csv field limit")
-        yield line
+            return False
+        ends = block.replace("\r", "\n")
+        first = ends.find("\n")
+        if open_line + (len(block) if first < 0 else first) > limit:
+            return False
+        open_line = open_line + len(block) if first < 0 else len(block) - 1 - ends.rfind("\n")
+    return True
 
 
 def _regular_file(path: str | os.PathLike) -> bool:
@@ -64,38 +73,37 @@ def _regular_file(path: str | os.PathLike) -> bool:
 def _parse_vectorized(path: str | os.PathLike) -> tuple[np.ndarray, ...] | None:
     """The y, x and z columns of a plain population file, or None.
 
-    One np.loadtxt pass over the lines after the header. It returns None,
-    so that _parse_by_line decides, whenever the file may need anything
-    beyond unquoted comma-separated numbers: a header other than y,x,z
-    (a quoted one included), an ASCII separator character anywhere, a
-    line longer than the csv field limit, text that is not UTF-8, a
-    field numpy cannot read (quotes, underscores, non-ASCII digits, an
-    empty or whitespace-only field), no data rows (loadtxt warns) or
-    rows that are not three wide. What it does accept, _parse_by_line
-    reads to the same float64 values.
+    One checking pass, then np.loadtxt reads the file in blocks from its
+    absolute name, which numpy never takes for a URL; os.path.abspath
+    would also drop a ".." after a symbolic link and name another file.
+    It returns None, so that _parse_by_line decides, whenever the file
+    may need anything beyond unquoted comma-separated numbers: a name
+    numpy would decompress, a header other than y,x,z (a quoted one
+    included), an ASCII separator character anywhere, a line longer than
+    the csv field limit, text that is not UTF-8, a field numpy cannot
+    read (quotes, underscores, non-ASCII digits, an empty or
+    whitespace-only field), no data rows (loadtxt warns) or rows that
+    are not three wide. What it does accept, _parse_by_line reads to the
+    same float64 values.
     """
-    limit = csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            if _has_separators(fh):
+    name = os.fsdecode(path)
+    if not os.path.isabs(name):
+        name = os.path.join(os.getcwd(), name)
+    if os.path.splitext(name)[1].lower() in _COMPRESSED:
+        return None
+    try:
+        with open(name, newline="", encoding="utf-8") as fh:
+            if not _plain_text(fh, csv.field_size_limit()):
                 return None
             fh.seek(0)
-            header = fh.readline()
-            if len(header) > limit or [
-                h.strip() for h in header.split(",")
-            ] != ["y", "x", "z"]:
+            if [h.strip() for h in fh.readline().split(",")] != ["y", "x", "z"]:
                 return None
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    _short_lines(fh, limit),
-                    delimiter=",",
-                    comments=None,
-                    dtype=np.float64,
-                    ndmin=2,
-                )
-        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(name, delimiter=",", comments=None, dtype=np.float64,
+                               ndmin=2, skiprows=1, encoding="utf-8")
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
     return tuple(table.T) if table.shape[1] == 3 else None
 
 
@@ -155,8 +163,9 @@ def load_population_csv(path: str | os.PathLike) -> PopulationFrame:
     longer than csv.field_size_limit() are ParseErrors like any other
     malformed content.
 
-    A plain file is parsed in one vectorized pass. Anything that pass
-    cannot read with certainty (quotes, underscores or non-ASCII digits
+    A plain regular file is read by np.loadtxt in blocks after one
+    checking pass. Anything that path cannot read with certainty
+    (compressed-looking names, quotes, underscores or non-ASCII digits
     in numbers, whitespace-only lines, errors of any kind) goes to the
     line-by-line reader, which yields the same values or the located
     error.

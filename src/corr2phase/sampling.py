@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveVariance,
     SingularDenominator,
 )
-from .moments import PopulationFrame, _finite, delta_name
+from .moments import PopulationFrame, _finite, delta_name, population_moments
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,9 @@ class KnownAux:
 
     @classmethod
     def from_frame(cls, frame: PopulationFrame) -> "KnownAux":
-        z = frame.z
-        return cls(zbar=float(np.mean(z)), sz2=float(np.var(z, ddof=1)))
+        """The z moments of population_moments(frame), with its errors."""
+        m = population_moments(frame)
+        return cls(zbar=m.mean_z, sz2=m.s2_z)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,8 @@ def test_failed_run_counts_as_missing_pair(bench_pairs):
     assert summary["wall_s"]["pairs"] == 2
     assert summary["wall_s"]["change_wins"] == 2
     assert summary["all_correct"] is False
-    assert summary["failed"] == 1
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 30, "change": 21}
 
 
 def test_fewer_than_two_complete_pairs_give_only_the_count(bench_pairs):
@@ -123,9 +124,10 @@ def test_claim_met_needs_a_gap_wider_than_the_parent_iqr(bench_pairs):
 def test_failed_pairs_count_against_the_claim(bench_pairs):
     parent = [100.0 + i for i in range(10)]
     runs = _pairs(parent, [p + 20.0 for p in parent], "items_per_s")
-    runs[-1]["result"] = dict(bench_pairs.FAILED)  # 9 wins, but of 10 pairs run
+    # the parent side fails, so the change's failed share stays the lower
+    runs[-2]["result"] = dict(bench_pairs.FAILED)  # 9 wins, but of 10 pairs run
     assert _verdict(bench_pairs, runs)["claim_met"] is True
-    runs[-3]["result"] = dict(bench_pairs.FAILED)  # 8 wins of 10
+    runs[-4]["result"] = dict(bench_pairs.FAILED)  # 8 wins of 10
     assert _verdict(bench_pairs, runs)["claim_met"] is False
 
 
@@ -150,7 +152,66 @@ def test_regressions_past_the_bound(bench_pairs):
 def test_the_claimed_metric_is_not_a_regression(bench_pairs):
     runs = _pairs([100.0] * 3, [50.0] * 3, "items_per_s")
     verdict = _verdict(bench_pairs, runs)
-    assert verdict == {"claim_met": False, "regressions": []}
+    assert verdict == {"claim_met": False, "regressions": [], "unresolved": []}
+
+
+def test_more_failed_operations_fail_the_claim(bench_pairs):
+    parent = [100.0 + i for i in range(10)]
+    runs = _pairs(parent, [p + 20.0 for p in parent], "items_per_s")
+    runs[1]["result"]["failed"] = 1  # 1 of the change's 100 operations failed
+    assert _verdict(bench_pairs, runs)["claim_met"] is False
+    runs[0]["result"]["failed"] = 1  # and 1 of the parent's 100
+    assert _verdict(bench_pairs, runs)["claim_met"] is True
+    summary = bench_pairs.summarize(runs, BOUNDED)["w"]
+    assert summary["failed"] == {"parent": 1, "change": 1}
+    assert summary["attempted"] == {"parent": 100, "change": 100}
+
+
+def test_all_runs_better(bench_pairs):
+    for metric, parent, change, better in (
+        (WALL, [2.0, 3.0], [1.0, 1.9], True),
+        (WALL, [2.0, 3.0], [1.0, 2.0], False),  # a tie with the best parent run
+        (RATE, [2.0, 3.0], [3.5, 4.0], True),
+        (RATE, [2.0, 3.0], [1.0, 9.0], False),
+    ):
+        runs = _pairs(parent, change, metric["name"])
+        entry = bench_pairs.summarize(runs, [metric])["w"][metric["name"]]
+        assert entry["all_runs_better"] is better, (metric, change)
+
+
+WIDE = [60.0, 80.0, 100.0, 120.0, 140.0]  # q1 80, q3 120: IQR 40% of the median
+
+
+def test_wide_parent_spread_is_unresolved(bench_pairs):
+    runs = _pairs(WIDE, [w + 1.0 for w in WIDE], "wall_s")  # 1% slower
+    assert _verdict(bench_pairs, runs, None)["unresolved"] == [
+        {"workload": "w", "metric": "wall_s", "parent_iqr": 40.0, "parent_median": 100.0,
+         "bound": 0.25}
+    ]
+
+
+def test_spread_inside_the_bound_is_resolved(bench_pairs):
+    narrow = [95.0, 98.0, 100.0, 102.0, 105.0]  # IQR 4% of the median
+    runs = _pairs(narrow, [n + 1.0 for n in narrow], "wall_s")
+    assert _verdict(bench_pairs, runs, None)["unresolved"] == []
+
+
+def test_wide_spread_resolved_when_every_change_run_is_better(bench_pairs):
+    runs = _pairs(WIDE, [w - 100.0 for w in WIDE], "wall_s")  # 40 below the best parent
+    assert _verdict(bench_pairs, runs, None)["unresolved"] == []
+    runs = _pairs(WIDE, [w + 100.0 for w in WIDE], "items_per_s")
+    assert _verdict(bench_pairs, runs, None)["unresolved"] == []
+
+
+def test_a_regression_or_the_claim_is_not_unresolved(bench_pairs):
+    runs = _pairs(WIDE, [w * 1.5 for w in WIDE], "wall_s")  # 50% slower: a regression
+    got = _verdict(bench_pairs, runs, None)
+    assert [r["metric"] for r in got["regressions"]] == ["wall_s"]
+    assert got["unresolved"] == []
+    runs = _pairs(WIDE, [w + 1.0 for w in WIDE], "items_per_s")
+    got = _verdict(bench_pairs, runs)  # the claimed workload and metric
+    assert got["claim_met"] is False
+    assert got["unresolved"] == []
 
 
 def _no_run(*args):

@@ -1,12 +1,15 @@
 import contextlib
+import gzip
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import urllib.request
 import warnings
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,10 +152,10 @@ def load_by_line(path):
 class TestVectorizedParse:
     """The vectorized pass agrees with the line-by-line reader, its specification."""
 
-    @given(text=CSV_TEXT)
+    @given(text=CSV_TEXT, suffix=st.sampled_from([".csv", ".txt", "", ".gz", ".BZ2"]))
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_line_reader(self, text, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "differential.csv"
+    def test_agrees_with_line_reader(self, text, suffix, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / f"differential{suffix}"
         path.write_bytes(text.encode("utf-8"))
         fast = io._parse_vectorized(path)
         if fast is not None:
@@ -214,6 +217,71 @@ class TestVectorizedParse:
             os.close(read_end)
         assert np.array_equal(frame.y, six_frame.y)
         assert np.array_equal(frame.z, six_frame.z)
+
+    @pytest.mark.parametrize("name", ["pop.gz", "pop.GZ", "pop.csv.bz2", "pop.xz", "pop.lzma"])
+    def test_compressed_names_go_to_the_line_reader(self, six_csv_path, tmp_path, name):
+        # numpy would decompress a file so named; this one holds plain text
+        path = tmp_path / name
+        path.write_bytes(Path(six_csv_path).read_bytes())
+        assert io._parse_vectorized(path) is None
+        assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
+        assert load_outcome(io.load_population_csv, path) == load_outcome(
+            io.load_population_csv, six_csv_path)
+
+    def test_gzip_file_is_not_utf8(self, six_csv_path, tmp_path):
+        path = tmp_path / "pop.csv.gz"
+        path.write_bytes(gzip.compress(Path(six_csv_path).read_bytes()))
+        with pytest.raises(ParseError, match="pop.csv.gz: not UTF-8 text"):
+            io.load_population_csv(path)
+
+    def test_compressed_suffixes_cover_numpy_openers(self):
+        # The opener table is private to numpy, but it decides which names
+        # np.loadtxt decompresses, so a suffix added there must be added
+        # to io._COMPRESSED too.
+        openers = np.lib._datasource._file_openers
+        assert {ext.lower() for ext in openers.keys() if ext} <= io._COMPRESSED
+
+    def test_url_like_name_is_read_locally(self, six_csv_path, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the population file was taken for a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "pop.csv").write_bytes(Path(six_csv_path).read_bytes())
+        # where numpy caches http://host/pop.csv: read only if the name is a URL
+        (tmp_path / "host").mkdir()
+        (tmp_path / "host" / "pop.csv").write_text("y,x,z\n9,9,9\n8,8,8\n7,7,7\n6,6,6\n")
+        name = "http://host/pop.csv"
+        fast = io._parse_vectorized(name)
+        assert fast is not None
+        for got, want in zip(fast, io._parse_by_line(name)):
+            assert got.tobytes() == want.tobytes()
+        assert load_outcome(io.load_population_csv, name) == load_outcome(
+            io.load_population_csv, six_csv_path)
+
+    def test_dot_dot_after_a_link_names_the_file_opened(self, six_csv_path, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data" / "deep").mkdir(parents=True)
+        (tmp_path / "data" / "pop.csv").write_bytes(Path(six_csv_path).read_bytes())
+        os.symlink(tmp_path / "data" / "deep", tmp_path / "link")
+        # what os.path.abspath("link/../pop.csv") names
+        (tmp_path / "pop.csv").write_text("y,x,z\n9,9,9\n8,8,8\n7,7,7\n6,6,6\n")
+        name = "link/../pop.csv"
+        fast = io._parse_vectorized(name)
+        assert fast is not None
+        for got, want in zip(fast, io._parse_by_line(name)):
+            assert got.tobytes() == want.tobytes()
+        assert load_outcome(io.load_population_csv, name) == load_outcome(
+            io.load_population_csv, six_csv_path)
+
+    @given(text=st.text(st.sampled_from("ab\r\n\x1c"), max_size=40), limit=st.integers(0, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_text_pass(self, text, limit):
+        lines = re.split("\r\n|\r|\n", text)
+        want = "\x1c" not in text and max(map(len, lines)) <= limit
+        assert io._plain_text(StringIO(text, newline=""), limit) == want
 
     def test_generated_population_bit_identical(self, tmp_path):
         frame = c2p.synthetic_population(5000, 3)
@@ -298,6 +366,80 @@ class TestMalformedInputFuzz:
         path.write_bytes(data)
         argv = ["efficiency", "--params", str(path), "--n", "3", "--n1", "4"]
         assert self.run_quietly(argv) in (0, 1)
+
+
+def _unit_column(size):
+    return st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+                    min_size=size, max_size=size)
+
+
+def _centered(values):
+    mean = sum(values) / len(values)
+    return [v - mean for v in values]
+
+
+def _scaled(shape, exponents):
+    scale = st.integers(-exponents, exponents).map(lambda k: 10.0**k)
+    return st.builds(lambda values, c: [v * c for v in values], shape, scale)
+
+
+def _bad_column(size):
+    """Tied, zero-mean, constant or float64-edge values, scaled by 10**k.
+
+    Two draws in three are tied or zero-mean values at a moderate scale,
+    so that a fair share of frames get a moment table.
+    """
+    plain = st.one_of(_unit_column(size), _unit_column(size).map(_centered))
+    edge = st.one_of(
+        plain,
+        st.sampled_from([-1.0, 0.0, 2.0]).map(lambda v: [v] * size),
+        st.lists(st.sampled_from([1.7e308, -1.7e308, 1.0e308, 1.0]),
+                 min_size=size, max_size=size),
+    )
+    return st.one_of(_scaled(plain, 50), _scaled(plain, 50), _scaled(edge, 300))
+
+
+BAD_POPULATION = st.integers(5, 7).flatmap(
+    lambda size: st.tuples(_bad_column(size), _bad_column(size), _bad_column(size))
+)
+
+
+class TestSameFailureEverywhere:
+    """Every command on a bad population: exit 0 or 1, and one error for one table."""
+
+    DESIGN = ["--n", "3", "--n1", "4"]
+
+    @given(columns=BAD_POPULATION)
+    @settings(max_examples=120, deadline=None)
+    def test_commands_agree(self, columns, tmp_path_factory):
+        path = str(tmp_path_factory.getbasetemp() / "bad.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,x,z\n")
+            fh.writelines(f"{y!r},{x!r},{z!r}\n" for y, x, z in zip(*columns))
+        argvs = {
+            "moments": ["moments", path],
+            "efficiency": ["efficiency", "--pop", path, *self.DESIGN],
+            "estimate": ["estimate", "--pop", path, *self.DESIGN, "--seed", "3"],
+            "simulate": ["simulate", "--pop", path, *self.DESIGN,
+                         "--estimator", "td-star:linear", "--reps", "20", "--seed", "3"],
+            "enumerate": ["enumerate", "--pop", path, *self.DESIGN,
+                          "--estimator", "td-star:linear"],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                c2p.population_moments(io.load_population_csv(path))
+                table_error = None
+            except c2p.Corr2PhaseError as exc:
+                table_error = f"error: {exc}"
+            for command, argv in argvs.items():
+                out, err = StringIO(), StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                assert code in (0, 1), command
+                if table_error is not None:
+                    assert code == 1, command
+                    assert err.getvalue().splitlines()[0] == table_error, command
 
 
 class TestRenderReport:
@@ -455,6 +597,20 @@ class TestEfficiencyCommand:
 
 class TestEstimateCommand:
     BASE = ["estimate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4"]
+
+    def test_known_z_moments_fail_as_in_simulate(self, tmp_path, capsys):
+        # estimate reads the known z moments from the population table, as
+        # simulate does, instead of recomputing them with np.var, which
+        # overflowed with a RuntimeWarning here
+        path = tmp_path / "bigz.csv"
+        path.write_text("y,x,z\n1,2,1e200\n2,3,-1e200\n3,1,2e200\n4,5,-2e200\n5,4,1.5e200\n")
+        design = ["--pop", str(path), "--n", "3", "--n1", "4", "--seed", "1"]
+        simulate = run_cli(["simulate", *design, "--estimator", "sample-r", "--reps", "5"],
+                           capsys)
+        estimate = run_cli(["estimate", *design], capsys)
+        assert simulate[:2] == estimate[:2] == (1, "")
+        first_line = "error: S2_z is not finite in float64; rescale the data"
+        assert simulate[2].splitlines()[0] == estimate[2].splitlines()[0] == first_line
 
     def test_default_parameter_free_kinds(self, capsys):
         code, out, _ = run_cli(self.BASE + ["--seed", "1"], capsys)
@@ -687,40 +843,33 @@ class TestTopLevel:
         assert code == 0
         assert json.loads(out)["pairs_skipped"] == 5
 
-    @pytest.mark.parametrize("command", ["moments", "efficiency", "simulate"])
-    @pytest.mark.parametrize("scale, name", [(1e200, "S2_x"), (1e-200, "mu_020")])
+    @pytest.mark.parametrize(
+        "command", ["moments", "efficiency", "estimate", "simulate", "enumerate"]
+    )
+    @pytest.mark.parametrize(
+        "scale, name",
+        [(1e200, "S2_x"), (1e-200, "mu_020"), (1e100, "d_040"), (1e-100, "d_040")],
+    )
     def test_float64_edge_is_data_error(self, six_frame, tmp_path, command, scale,
                                         name, capsys):
         path = tmp_path / "edge.csv"
         columns = (six_frame.y, six_frame.x * scale, six_frame.z)
         rows = zip(*(column.tolist() for column in columns))
         path.write_text("y,x,z\n" + "".join(f"{y!r},{x!r},{z!r}\n" for y, x, z in rows))
+        design = ["--n", "3", "--n1", "4"]
         argv = {
             "moments": ["moments", str(path)],
-            "efficiency": ["efficiency", "--pop", str(path), "--n", "3", "--n1", "4"],
-            "simulate": ["simulate", "--pop", str(path), "--n", "3", "--n1", "4",
+            "efficiency": ["efficiency", "--pop", str(path), *design],
+            "estimate": ["estimate", "--pop", str(path), *design, "--seed", "1"],
+            "simulate": ["simulate", "--pop", str(path), *design,
                          "--estimator", "sample-r", "--reps", "10", "--seed", "1"],
+            "enumerate": ["enumerate", "--pop", str(path), *design,
+                          "--estimator", "sample-r"],
         }[command]
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {name}")
-
-    @pytest.mark.parametrize(
-        "scale, name",
-        [(1e100, "sample d_040"), (1e-100, "sample d_040"), (1e200, "sample s2_x_first")],
-    )
-    def test_float64_edge_estimate_is_data_error(self, six_frame, tmp_path, scale,
-                                                 name, capsys):
-        path = tmp_path / "edge.csv"
-        columns = (six_frame.y, six_frame.x * scale, six_frame.z)
-        rows = zip(*(column.tolist() for column in columns))
-        path.write_text("y,x,z\n" + "".join(f"{y!r},{x!r},{z!r}\n" for y, x, z in rows))
-        argv = ["estimate", "--pop", str(path), "--n", "3", "--n1", "4", "--seed", "1"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: {name} is not finite")
 
     def test_design_size_beyond_float64_is_data_error(self, capsys):
         argv = ["efficiency", "--params", "fixtures/murthy67.json",

@@ -247,7 +247,8 @@ class TestSampleStatistics:
             y=np.array([1.0, 2.0, 3.0, 4.0, 9.0]), x=x, z=np.array([1.0, 3.0, 2.0, 5.0, 4.0])
         )
         first, second = np.arange(5), np.array([0, 1])
-        aux = c2p.KnownAux.from_frame(frame)
+        # z's mean and variance: this frame's own table fails (mu_020)
+        aux = c2p.KnownAux(zbar=3.0, sz2=2.5)
         stats = _kernels.stats_rows(
             frame.y, frame.x, frame.z, first[None], second[None], aux.zbar, aux.sz2
         )
@@ -256,7 +257,7 @@ class TestSampleStatistics:
         with pytest.raises(DegenerateSample, match="first-phase"):
             c2p.sample_statistics(frame, sample, aux)
 
-    def test_underflowing_variance_product_is_a_typed_error(self):
+    def test_underflowing_variance_product_is_a_typed_error(self, six_frame):
         # s2_y * s2_x is about 1e-400 and underflows to 0, so r is not
         # finite and neither are the d_pqm the weights read: that is a
         # typed error, not a float division by zero
@@ -270,8 +271,21 @@ class TestSampleStatistics:
             first_phase=np.arange(5),
             second_phase=np.arange(4),
         )
+        # z is six_frame's; this frame's own table fails (d_400)
         with pytest.raises(InvalidParameter, match="d_220 is not finite"):
-            c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(frame))
+            c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(six_frame))
+
+    @pytest.mark.parametrize(
+        "scale, name",
+        [(1e100, "sample d_040"), (1e-100, "sample d_040"), (1e200, "sample s2_x_first")],
+    )
+    def test_float64_edge_is_typed(self, six_frame, scale, name):
+        # the draw estimate --n 3 --n1 4 --seed 1 makes; the CLI now fails
+        # earlier, on the population table
+        frame = c2p.PopulationFrame(y=six_frame.y, x=six_frame.x * scale, z=six_frame.z)
+        sample = c2p.draw_two_phase(frame, c2p.DesignSpec(N=6, n1=4, n=3), 1)
+        with pytest.raises(InvalidParameter, match=f"{name} is not finite"):
+            c2p.sample_statistics(frame, sample, c2p.KnownAux.from_frame(six_frame))
 
     def test_population_mismatch_rejected(self, six_frame):
         design = c2p.DesignSpec(N=7, n1=4, n=3)
@@ -295,6 +309,13 @@ class TestKnownAux:
         aux = c2p.KnownAux.from_frame(census_frame)
         m = c2p.population_moments(census_frame)
         assert (aux.zbar, aux.sz2) == (m.mean_z, m.s2_z)
+
+    def test_from_frame_fails_as_population_moments(self, six_frame):
+        frame = c2p.PopulationFrame(y=six_frame.y, x=six_frame.x, z=six_frame.z * 1e200)
+        with pytest.raises(InvalidParameter, match="S2_z is not finite"):
+            c2p.population_moments(frame)
+        with pytest.raises(InvalidParameter, match="S2_z is not finite"):
+            c2p.KnownAux.from_frame(frame)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):

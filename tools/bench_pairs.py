@@ -17,9 +17,11 @@ holds the machine facts, every run's header lines and JSON result (a run that
 fails also keeps its return code and the end of its stderr), the
 traced runs with their per-layer shares, and per workload and end-to-end
 metric the median and quartiles of each side, the pairs the change won, the
-parent's interquartile range and the pairs that lack the metric on a side.
-The summary also says whether the --claim is met and lists the other metrics
-that regressed past their BENCHMARK.json bounds (verdict()). Every --pairs,
+parent's interquartile range and the pairs that lack the metric on a side,
+and per workload each side's failed and attempted operations. The summary
+also says whether the --claim is met, lists the other metrics that regressed
+past their BENCHMARK.json bounds, and lists as unresolved those whose parent
+runs spread wider than the bound (verdict()). Every --pairs,
 --claim and --trace value is checked against BENCHMARK.json before the first
 run (check_specs()).
 """
@@ -85,7 +87,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
     Only pairs with the metric on both sides are compared; 'missing_pairs'
     counts the seeds that lack it on a side. A metric with fewer than two
-    complete pairs gets only that count.
+    complete pairs gets only that count. 'all_runs_better' says whether
+    every change run beat every parent run. 'failed' and 'attempted' sum
+    each side's operations over its runs (a run that failed counts one of
+    one).
     """
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -93,8 +98,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         pairs = {}
         for r in mine:
             pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
-        entry = {"all_correct": all(r["result"].get("correct") for r in mine),
-                 "failed": sum(r["result"].get("failed", 1) for r in mine)}
+        entry = {"all_correct": all(r["result"].get("correct") for r in mine)}
+        for count in ("failed", "attempted"):
+            entry[count] = {side: sum(r["result"].get(count, 1) for r in mine
+                                      if r["side"] == side)
+                            for side in ("parent", "change")}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
             complete = [(p["parent"][name]["value"], p["change"][name]["value"])
@@ -104,8 +112,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             if len(complete) < 2:
                 continue
             wins = sum((c < p) if lower else (c > p) for p, c in complete)
-            parent = quartiles([p for p, _ in complete])
-            change = quartiles([c for _, c in complete])
+            parents, changes = [p for p, _ in complete], [c for _, c in complete]
+            parent, change = quartiles(parents), quartiles(changes)
             entry[name].update({
                 "parent": parent,
                 "change": change,
@@ -113,24 +121,34 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_wins": wins,
                 "median_change_rel": change["median"] / parent["median"] - 1.0,
                 "parent_iqr": parent["q3"] - parent["q1"],
+                "all_runs_better": (max(changes) < min(parents)) if lower
+                                   else (min(changes) > max(parents)),
             })
         summary[workload] = entry
     return summary
 
 
+def _failed_share(entry: dict, side: str) -> float:
+    return entry["failed"][side] / max(entry["attempted"][side], 1)
+
+
 def verdict(summary: dict, metrics: list[dict], claim: dict | None) -> dict:
-    """The gate's reading of a summary: whether the claim is met, and what regressed.
+    """The gate's reading of a summary: whether the claim is met, what regressed, what is unresolved.
 
     The claim is met when the change won at least 9 in 10 of the pairs
-    run and its median beats the parent's, in the metric's better direction,
-    by more than the parent's interquartile range; with no claim,
-    claim_met is None. A regression is any other workload and metric
-    whose change median is worse than the parent's by more than the
-    metric's relative bound from BENCHMARK.json.
+    run, its median beats the parent's, in the metric's better direction,
+    by more than the parent's interquartile range, and its share of failed
+    operations on that workload is no higher than the parent's; with no
+    claim, claim_met is None. A regression is any other workload and
+    metric whose change median is worse than the parent's by more than the
+    metric's relative bound from BENCHMARK.json. Any other one is
+    unresolved when the parent's interquartile range is wider than the
+    bound times the parent's median, unless every change run beat every
+    parent run: such runs cannot tell a change within the bound from none.
     """
     claimed = (claim["workload"], claim["metric"]) if claim else None
     claim_met = None if claim is None else False
-    regressions = []
+    regressions, unresolved = [], []
     for workload, entry in summary.items():
         for metric in metrics:
             name = metric["name"]
@@ -142,12 +160,19 @@ def verdict(summary: dict, metrics: list[dict], claim: dict | None) -> dict:
                 gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
                 run = stats["pairs"] + stats["missing_pairs"]  # a failed pair is not a win
                 wins = stats["change_wins"] * 10 >= run * 9
-                claim_met = wins and gain > stats["parent_iqr"]
+                failures = _failed_share(entry, "change") <= _failed_share(entry, "parent")
+                claim_met = wins and gain > stats["parent_iqr"] and failures
             elif -sign * stats["median_change_rel"] > metric["bound"]:
                 regressions.append({"workload": workload, "metric": name,
                                     "median_change_rel": stats["median_change_rel"],
                                     "bound": metric["bound"]})
-    return {"claim_met": claim_met, "regressions": regressions}
+            elif (stats["parent_iqr"] > metric["bound"] * abs(stats["parent"]["median"])
+                  and not stats["all_runs_better"]):
+                unresolved.append({"workload": workload, "metric": name,
+                                   "parent_iqr": stats["parent_iqr"],
+                                   "parent_median": stats["parent"]["median"],
+                                   "bound": metric["bound"]})
+    return {"claim_met": claim_met, "regressions": regressions, "unresolved": unresolved}
 
 
 def check_specs(parser: argparse.ArgumentParser, args, bench: dict):
@@ -243,8 +268,10 @@ def main(argv: list[str] | None = None) -> int:
             "made in, 'error' the return code and stderr tail of a run that failed. "
             "'summary' gives per workload and metric the median and quartiles of each "
             "side, the pairs the change won, the parent's interquartile range and the "
-            "pairs that lack the metric on a side (missing_pairs); 'claim_met' and "
-            "'regressions' are the gate's reading of it (see verdict()). "
+            "pairs that lack the metric on a side (missing_pairs), whether every change "
+            "run beat every parent run (all_runs_better), and each side's failed and "
+            "attempted operations; 'claim_met', 'regressions' and 'unresolved' are the "
+            "gate's reading of it (see verdict()). "
             f"'traces' holds --seconds {TRACE_SECONDS:g} --trace 1 runs, one per side."
         ),
         "runs": runs,
