@@ -28,6 +28,15 @@ the one row of a sample in sampling, and the one row of a whole
 population in moments. Census samples therefore reproduce the
 population table bit for bit. first_phase_rows needs only two means and
 two sums of squares, and computes them itself in the same operations.
+A constant variable is found from those means and sums of squares
+(single_valued): only the few rows they cannot rule out are gathered
+again for an exact == test.
+
+The draw and the phase kernels write their units-wide arrays into an
+optional keyword-only Workspace, whose slots stages with disjoint
+lifetimes share. simulate makes one per thread for one call, so its
+chunk loop allocates no such array after the first chunk; every other
+caller passes none, and each call then makes its own.
 
 The variance slopes (scaled_slopes, times r so that they stay finite
 at r = 0) and the solve of each axis's 2x2 system for the optimum
@@ -61,9 +70,14 @@ def resolve_backend(backend: None = None) -> str:
 
 
 # Scratch of one replication through draw_rows and stats_rows, in 8-byte
-# elements per first-phase unit: a bound that holds for any n <= n1. The
-# draw's share is its n1 targets, which become the first-phase row, one
-# n1-wide buffer of sort keys and the n second-phase positions.
+# elements per first-phase unit: a bound that holds for any n <= n1.
+# simulate's workspace (Workspace) holds, per replication, the draw's
+# n1 + n results, its scratch slot of max(n1, 4 n) elements (sort keys,
+# then the first phase's gather, then moment_rows' squares and product)
+# and the three n-wide second-phase gathers, the first of which held
+# the draw's phase-two positions: at most 9 n1. The rest covers what a
+# chunk still allocates (the draw's repeat mask, pair_rows' columns),
+# and chunk_rows sizes chunks from this value.
 SCRATCH_PER_N1 = 32
 
 FLAG_DEGENERATE = 1  # a required sample variable is constant
@@ -100,6 +114,45 @@ SECOND_ORDER_TRIPLES = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 # Triples moment_rows computes for one second-phase sample: the y-x
 # covariance (for r) and the weight moments.
 SAMPLE_TRIPLES = ((1, 1, 0),) + WEIGHT_TRIPLES
+
+
+class Workspace:
+    """Arrays that the kernel calls of one thread reuse from call to call.
+
+    A kernel given work= writes its units-wide arrays into the
+    workspace's named slots instead of allocating them, so a loop of
+    chunks allocates none after its first chunk and the heap does not
+    churn. Each slot is one flat 8-byte buffer that grows to the largest
+    request and is viewed at the shape asked for, so a workspace serves
+    any sequence of (reps, n1, n). Stages whose arrays are never live at
+    once share a slot:
+
+    - "first" and "second": the draw's results;
+    - "scratch": the draw's sort keys, then first_phase_rows' one gather
+      and deviation buffer (for x, then for z), then moment_rows' three
+      squares and its product buffer;
+    - "y": the draw's phase-two positions, then second_phase_rows'
+      gather of y, which moment_rows turns into deviations in place;
+    - "x" and "z": its gathers of x and z, likewise.
+
+    A workspace lives for one call on one thread (simulate makes one per
+    thread it runs): an array a kernel returns from it, such as the
+    draw's, is overwritten by the next kernel call that uses it. A
+    kernel given no workspace makes its own, so its results are new
+    arrays.
+    """
+
+    def __init__(self) -> None:
+        self._slots: dict[str, np.ndarray] = {}
+
+    def array(self, slot: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-ordered array of the given shape and 8-byte dtype in slot's buffer."""
+        size = math.prod(shape)
+        buf = self._slots.get(slot)
+        if buf is None or buf.size < size:
+            buf = self._slots[slot] = np.empty(size, np.float64)
+        return buf[:size].view(dtype).reshape(shape)
+
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -273,11 +326,14 @@ def draw_rows(
     reps: int,
     seed: int,
     rep_lo: int = 0,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `reps` two-phase index samples, replications rep_lo onward.
 
     Returns (first, second): sorted, C-ordered int64 index arrays of
-    shape (reps, n1) and (reps, n), second[t] a subset of first[t].
+    shape (reps, n1) and (reps, n), second[t] a subset of first[t],
+    held in the slots "first" and "second" of work.
     Replication t depends only on (seed, rep_lo + t), never on reps or
     chunking, which is what makes parallel simulation order-free. The
     seed must lie in [0, 2**64) and the last replication index,
@@ -292,9 +348,9 @@ def draw_rows(
     _resolve_swaps reads each phase's result off one sort of its
     targets. Phase two resolves to positions of the first phase, which
     are gathered from phase one's result. A call holds the (reps, n1)
-    targets, which become first, one key buffer of that size and the
-    (reps, n) positions of phase two, so its scratch is O(n1) per
-    replication whatever N is.
+    targets, which become first, one key buffer of that size (slot
+    "scratch") and the (reps, n) positions of phase two (slot "y"), so
+    its scratch is O(n1) per replication whatever N is.
 
     Rows are sorted in place in C order. C order makes numpy sum every
     row of a gather such as x[first] in the same (pairwise) order,
@@ -315,21 +371,22 @@ def draw_rows(
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
         raise InvalidParameter(f"seed must lie in [0, 2**64), got {seed}")
+    work = Workspace() if work is None else work
     ticks = np.arange(1, reps + 1, dtype=np.uint64) + np.uint64(rep_lo)
     stream = mix64(np.uint64(seed) + _GOLDEN * ticks)
 
-    first = np.empty((reps, n1), np.int64)
-    keys = np.empty((reps, n1), np.int64)
+    first = work.array("first", (reps, n1), np.int64)
+    keys = work.array("scratch", (reps, n1), np.int64)
     _swap_targets(stream, 1, N, first, keys)
     _resolve_swaps(first, keys)
     # phase two shuffles positions of phase one's unsorted result: resolve
     # it to those positions, reusing the key buffer, then gather
-    at = np.empty((reps, n), np.int64)
+    at = work.array("y", (reps, n), np.int64)
     keys = keys.reshape(-1)[: reps * n].reshape(reps, n)
     _swap_targets(stream, n1 + 1, n1, at, keys)
     _resolve_swaps(at, keys)
     at += np.arange(0, reps * n1, n1)[:, None]
-    second = first.reshape(-1)[at]
+    second = _gather(first.reshape(-1), at, work.array("second", (reps, n), np.int64))
     first.sort(axis=1)
     second.sort(axis=1)
     return first, second
@@ -340,7 +397,18 @@ def _powers(f, f2):
     return ([], [f], [f2], [f2, f], [f2, f2])
 
 
-def moment_rows(y, x, z, triples):
+def _gather(column: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """column[index] written into out, for index entries in [0, len(column)).
+
+    Every caller's indices are in range: drawn, enumerated or checked by
+    TwoPhaseSample. np.take's default mode copies out to a temporary
+    first, so that a bad index can raise before out changes; "clip"
+    writes out directly.
+    """
+    return np.take(column, index, out=out, mode="clip")
+
+
+def moment_rows(y, x, z, triples, *, work: Workspace | None = None):
     """Means, sums of products and d_pqm over rows of units.
 
     y, x and z are (rows, units) float64 arrays. Returns (means, sums,
@@ -351,16 +419,26 @@ def moment_rows(y, x, z, triples):
     scales are built in _powers order, the products in one reused
     buffer, so a row rounds the same alone as among many. Non-finite
     values are left for the caller to flag or name.
+
+    The deviations go to work's slots "y", "x" and "z", so inputs that
+    are those slots' arrays, as second_phase_rows gathers them, are
+    overwritten by their deviations; the squares and the product buffer
+    go to its slot "scratch".
     """
+    work = Workspace() if work is None else work
     units = y.shape[1]
+    *squares, buf = work.array("scratch", (4,) + y.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         means = tuple(f.mean(axis=1) for f in (y, x, z))
-        dev = [f - mean[:, None] for f, mean in zip((y, x, z), means)]
-        squares = [f * f for f in dev]
+        dev = [
+            np.subtract(f, mean[:, None], out=work.array(slot, f.shape))
+            for f, mean, slot in zip((y, x, z), means, "yxz")
+        ]
+        for f, f2 in zip(dev, squares):
+            np.multiply(f, f, out=f2)
         factors = [_powers(f, f2) for f, f2 in zip(dev, squares)]
         sums = dict(zip(SECOND_ORDER_TRIPLES, (f2.sum(axis=1) for f2 in squares)))
         scale = [_powers(np.sqrt(v), v) for v in (s / units for s in sums.values())]
-        buf = np.empty_like(dev[0])
         d = {}
         for p, q, m in triples:
             terms = factors[0][p] + factors[1][q] + factors[2][m]
@@ -371,13 +449,38 @@ def moment_rows(y, x, z, triples):
     return means, sums, d
 
 
-def constant_rows(*columns):
-    """Rows over which any of the (rows, units) arrays takes one value.
+def single_valued(column, index, mean, ss):
+    """Rows of column[index] whose units all take one value, by ==.
 
-    PopulationFrame's min == max test. A zero sum of squared deviations
-    misses some: three 0.1 values have mean 0.10000000000000002.
+    PopulationFrame's min == max test, so 0.0 and -0.0 are one value and
+    a row holding NaN is not single-valued. mean and ss are the rows'
+    means and sums of squared deviations as the kernels compute them (a
+    row mean, the deviations from it, their squares, their row sum), and
+    they rule out nearly every row without a pass of its own: only rows
+    with not (ss > TOL * mean**2) are gathered again for the == test.
+
+    TOL = 8 m**3 u**2 for rows of m units, u = 2**-53, misses no
+    single-valued row. If all m values equal c, any order of summing
+    them errs by at most gamma(m - 1) m |c|, gamma(k) = k u / (1 - k u)
+    (Higham 2002, sec. 4.2), so the mean is within gamma(m) |c| of c, up
+    to half an underflow step h = 2**-1075; the m deviations are then
+    one value d with |d| <= (1 + u) (gamma(m) |c| + h), and ss <= 2 m
+    (1 + u)**3 (1 + gamma(m)) gamma(m)**2 c**2, the 2 covering a square
+    rounded up from below the smallest subnormal (ss is 0 otherwise, and
+    0 > x is false). Against mean**2 >= ((1 - gamma(m)) |c| - h)**2 and
+    the roundings of TOL * mean**2, that leaves a factor of more than
+    1.5 to spare while m u <= 0.1. Where ss overflows, so does mean**2,
+    which it stays far below, and inf > inf is false; so is a test on
+    NaN. A row whose values spread passes the filter only when its
+    coefficient of variation is below about 3 m u.
     """
-    return reduce(np.logical_or, ((c == c[:, :1]).all(axis=1) for c in columns))
+    units = index.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        maybe = np.flatnonzero(~(ss > units**3 * 2.0**-103 * (mean * mean)))
+    rows = column[index[maybe]]
+    single = np.zeros(index.shape[0], bool)
+    single[maybe] = (rows == rows[:, :1]).all(axis=1)
+    return single
 
 
 class FirstPhase(NamedTuple):
@@ -395,19 +498,29 @@ class FirstPhase(NamedTuple):
     flags: np.ndarray
 
 
-def first_phase_rows(x: np.ndarray, z: np.ndarray, first: np.ndarray) -> FirstPhase:
-    """First-phase moments of a batch of index rows (FirstPhase)."""
-    x, z = (np.asarray(arr, dtype=np.float64) for arr in (x, z))
+def first_phase_rows(
+    x: np.ndarray, z: np.ndarray, first: np.ndarray, *, work: Workspace | None = None
+) -> FirstPhase:
+    """First-phase moments of a batch of index rows (FirstPhase).
+
+    x, then z, is gathered into work's slot "scratch" and turned in
+    place into its deviations and their squares.
+    """
+    work = Workspace() if work is None else work
     n1 = first.shape[1]
-    x1 = x[first]
-    z1 = z[first]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xbar = x1.mean(axis=1)
-        zbar = z1.mean(axis=1)
-        s2_x = ((x1 - xbar[:, None]) ** 2).sum(axis=1) / (n1 - 1.0)
-        s2_z = ((z1 - zbar[:, None]) ** 2).sum(axis=1) / (n1 - 1.0)
+    buf = work.array("scratch", first.shape)
+    moments = []
+    for column in (np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64)):
+        _gather(column, first, buf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mean = buf.mean(axis=1)
+            buf -= mean[:, None]
+            buf *= buf
+            ss = buf.sum(axis=1)
+            moments.append((mean, ss / (n1 - 1.0), single_valued(column, first, mean, ss)))
+    (xbar, s2_x, single_x), (zbar, s2_z, single_z) = moments
     flags = np.zeros(first.shape[0], np.uint8)
-    flags[constant_rows(x1, z1) | (s2_x <= 0.0) | (s2_z <= 0.0)] = FLAG_DEGENERATE
+    flags[single_x | single_z | (s2_x <= 0.0) | (s2_z <= 0.0)] = FLAG_DEGENERATE
     return FirstPhase(xbar, s2_x, zbar, s2_z, flags)
 
 
@@ -436,13 +549,24 @@ def second_phase_rows(
     x: np.ndarray,
     z: np.ndarray,
     second: np.ndarray,
+    *,
+    work: Workspace | None = None,
 ) -> SecondPhase:
-    """Second-phase statistics of a batch of index rows (SecondPhase)."""
-    y, x, z = (np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
+    """Second-phase statistics of a batch of index rows (SecondPhase).
+
+    y, x and z are gathered into work's slots "y", "x" and "z", where
+    moment_rows turns them into their deviations.
+    """
+    work = Workspace() if work is None else work
+    columns = tuple(np.asarray(arr, dtype=np.float64) for arr in (y, x, z))
     n = second.shape[1]
-    columns = (y[second], x[second], z[second])
-    (_, xbar, zbar), sums, std = moment_rows(*columns, SAMPLE_TRIPLES)
-    m200, m020, m002 = (sums[t] for t in SECOND_ORDER_TRIPLES)
+    gathers = (
+        _gather(column, second, work.array(slot, second.shape))
+        for column, slot in zip(columns, "yxz")
+    )
+    means, sums, std = moment_rows(*gathers, SAMPLE_TRIPLES, work=work)
+    _, xbar, zbar = means
+    m200, m020, m002 = ss = tuple(sums[t] for t in SECOND_ORDER_TRIPLES)
 
     def d(p, q, m):
         return std[p, q, m]
@@ -467,7 +591,9 @@ def second_phase_rows(
         )
     flags = np.zeros(second.shape[0], np.uint8)
     flags[singular] = FLAG_SINGULAR
-    degenerate = constant_rows(*columns) | (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)
+    degenerate = (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)
+    for column, mean, column_ss in zip(columns, means, ss):
+        degenerate |= single_valued(column, second, mean, column_ss)
     flags[degenerate] = FLAG_DEGENERATE
     return SecondPhase(r, xbar, sx2, *weights, flags)
 
@@ -530,16 +656,19 @@ def stats_rows(
     second: np.ndarray,
     aux_zbar: float,
     aux_sz2: float,
+    *,
+    work: Workspace | None = None,
 ) -> PairStats:
     """Per-sample statistics for a batch of index draws: the k = 1 case of pair_rows.
 
     Draw t pairs first[t] with second[t], so every field of the result
     is (M, 1) for M draws. Draws flagged SINGULAR still carry valid r,
-    u, v, w and a.
+    u, v, w and a. Both phase kernels use work, which may hold the
+    draw: they write to none of its slots "first" and "second".
     """
     return pair_rows(
-        first_phase_rows(x, z, first),
-        second_phase_rows(y, x, z, second),
+        first_phase_rows(x, z, first, work=work),
+        second_phase_rows(y, x, z, second, work=work),
         np.arange(first.shape[0])[:, None],
         aux_zbar,
         aux_sz2,

@@ -10,7 +10,10 @@ simulate() sizes its chunks by n1, because the draw and the statistics
 kernel need O(n1) scratch per replication; its cost per replication
 does not grow with the population size N. Each chunk is drawn, paired
 (the k = 1 case of _kernels.pair_rows) and evaluated in one go, so a run
-keeps only one value and one skip code per replication.
+keeps only one value and one skip code per replication. Each thread of
+a run takes every threads-th chunk, and the kernels of all its chunks
+write into the one _kernels.Workspace it makes; nothing is kept from
+one call to the next.
 
 enumerate_exact() computes the statistics of each distinct phase once:
 C(N, n1) first-phase sets and C(N, n) second-phase sets. It then
@@ -338,25 +341,25 @@ def simulate(
     chunk = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n1)
     spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
 
-    def fill(span: tuple[int, int]) -> None:
-        lo, hi = span
-        first, second = _kernels.draw_rows(
-            design.N, design.n1, design.n, hi - lo, seed, rep_lo=lo
-        )
-        stats = _kernels.stats_rows(
-            frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2
-        )
-        values[lo:hi], codes[lo:hi] = evaluate_rows(spec, stats)
+    def fill(share: list[tuple[int, int]]) -> None:
+        work = _kernels.Workspace()
+        for lo, hi in share:
+            first, second = _kernels.draw_rows(
+                design.N, design.n1, design.n, hi - lo, seed, rep_lo=lo, work=work
+            )
+            stats = _kernels.stats_rows(
+                frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2, work=work
+            )
+            values[lo:hi], codes[lo:hi] = evaluate_rows(spec, stats)
 
-    # pool.map starts a thread per span up to max_workers, so more
-    # threads than spans or cores would only cost
+    # more threads than spans or cores would only cost; each thread
+    # fills every threads-th span with one workspace
     threads = min(workers, len(spans), os.cpu_count() or 1)
     if threads == 1:
-        for span in spans:
-            fill(span)
+        fill(spans)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, spans))
+            list(pool.map(fill, (spans[i::threads] for i in range(threads))))
 
     k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
     se_mean, se_mse = _standard_errors(values[codes == SKIP_OK], m.rho_yx, mean, mse)

@@ -49,6 +49,11 @@ def draw_pair(N: int, n1: int, n: int, seed: int, rep: int):
     return sorted(pool[:n1]), sorted(sub[:n])
 
 
+def constant_rows(c):
+    """Rows of the 2-D array c that take one value, by == (PopulationFrame's min == max)."""
+    return (c == c[:, :1]).all(axis=1)
+
+
 # ----------------------------------------------------------------------
 # exact moment machinery
 

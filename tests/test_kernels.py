@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import corr2phase as c2p
 from corr2phase import _kernels as K
 from corr2phase.errors import InvalidParameter
-from oracles import TRIPLES, delta_table, draw_pair, mpf_frac, mu
+from oracles import TRIPLES, constant_rows, delta_table, draw_pair, mpf_frac, mu
 
 # Frozen splitmix64 finalizer vectors from tests/oracles.py.
 MIX_VECTORS = {
@@ -429,6 +429,124 @@ class TestSubsetRanker:
         position = {c: i for i, c in enumerate(itertools.combinations(range(N), n))}
         expected = [[position[tuple(row[p])] for p in patterns] for row in sets]
         assert np.array_equal(K.subset_ranker(N, n)(sets, patterns), expected)
+
+
+ROW_KINDS = ("constant", "zeros", "ulp", "zeros-ulp", "nonfinite", "infinite", "spread")
+
+
+def _any_magnitude():
+    # log-uniform from 1e-320 (subnormal) to 1e308, and Hypothesis' own
+    # floats, which favour the extremes
+    return st.one_of(
+        st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+        st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    )
+
+
+@st.composite
+def _row_blocks(draw):
+    """Rows of one width m in 2..5000, each constant, a mix of 0.0 and
+    -0.0, one ulp off either, holding an inf or NaN (a NaN sum of
+    squares), all infinite, or spread, at magnitudes from 1e-320 to
+    1e308; sums of constant rows near the top overflow to inf."""
+    m = draw(st.integers(2, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    with np.errstate(all="ignore"):
+        for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6)):
+            c = draw(_any_magnitude()) * draw(st.sampled_from([1.0, -1.0]))
+            row = np.full(m, c)
+            if kind.startswith("zeros"):
+                row = np.where(rng.random(m) < 0.5, 0.0, -0.0)
+            if kind.endswith("ulp"):
+                at = rng.integers(m)
+                row[at] = np.nextafter(row[at], rng.choice([np.inf, -np.inf]))
+            elif kind == "nonfinite":
+                row[rng.integers(m)] = rng.choice([np.nan, np.inf, -np.inf])
+            elif kind == "infinite":
+                row[:] = np.copysign(np.inf, c)
+            elif kind == "spread":
+                row = c * rng.uniform(0.5, 1.0, m)
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestSingleValued:
+    """The constant-row filter on the kernels' own means and sums of
+    squares flags exactly the rows that the oracle's == test flags."""
+
+    @given(rows=_row_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_flags_exactly_the_constant_rows(self, rows):
+        want = constant_rows(rows)
+        index = np.arange(rows.size).reshape(rows.shape)
+        spread = np.arange(1.0, rows.size + 1.0)
+        (mean, _, _), sums, _ = K.moment_rows(rows, rows, rows, ())
+        got = K.single_valued(rows.reshape(-1), index, mean, sums[2, 0, 0])
+        assert np.array_equal(got, want)
+        # and through both phase kernels, whose other flag is a
+        # nonpositive sum of squares
+        first = K.first_phase_rows(rows.reshape(-1), spread, index)
+        degenerate = first.flags == K.FLAG_DEGENERATE
+        assert np.array_equal(degenerate, want | (first.s2_x <= 0.0))
+        second = K.second_phase_rows(spread, rows.reshape(-1), spread, index)
+        degenerate = second.flags == K.FLAG_DEGENERATE
+        assert np.array_equal(degenerate, want | (sums[2, 0, 0] <= 0.0))
+
+
+def _same(got, want):
+    for name, g, w in zip(type(want)._fields, got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True), name
+
+
+class TestWorkspace:
+    """Kernels writing into one reused workspace return what they return
+    with none, whatever sizes come before."""
+
+    # (reps, n1, n): growing, shrinking, n = n1, one row
+    SIZES = [(7, 40, 10), (30, 60, 25), (2, 12, 2), (30, 60, 60), (1, 5, 3), (45, 90, 20)]
+
+    @pytest.mark.parametrize("levels", [None, 3], ids=["synthetic", "ties"])
+    def test_reuse_matches_fresh(self, levels):
+        frame = synth(N=90, seed=2)
+        cols = (frame.y, frame.x, frame.z)
+        if levels:  # few distinct values: constant rows and singular flags
+            rng = np.random.default_rng(5)
+            cols = tuple(rng.integers(1, levels + 1, 90).astype(float) for _ in cols)
+        y, x, z = cols
+        work = K.Workspace()
+        for seed, (reps, n1, n) in enumerate(self.SIZES):
+            first, second = K.draw_rows(90, n1, n, reps, seed, rep_lo=seed, work=work)
+            want = K.draw_rows(90, n1, n, reps, seed, rep_lo=seed)
+            for got, fresh in zip((first, second), want):
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert np.array_equal(got, fresh)
+            _same(K.first_phase_rows(x, z, first, work=work), K.first_phase_rows(x, z, first))
+            _same(
+                K.second_phase_rows(y, x, z, second, work=work),
+                K.second_phase_rows(y, x, z, second),
+            )
+            _same(
+                K.stats_rows(*cols, first, second, 2.0, 0.5, work=work),
+                K.stats_rows(*cols, first, second, 2.0, 0.5),
+            )
+            # the statistics kernels leave the draw in the workspace alone
+            assert np.array_equal(first, want[0]) and np.array_equal(second, want[1])
+
+    def test_one_row_calls_share_no_memory(self):
+        frame = synth(N=60, seed=4)
+        design = c2p.DesignSpec(N=60, n1=25, n=10)
+        aux = c2p.KnownAux.from_frame(frame)
+        a, b = (c2p.draw_two_phase(frame, design, seed=3, rep=rep) for rep in range(2))
+        for left in (a.first_phase, a.second_phase):
+            for right in (b.first_phase, b.second_phase):
+                assert not np.shares_memory(left, right)
+        # the statistics and the estimate are Python floats: nothing to share
+        stats = [c2p.sample_statistics(frame, sample, aux) for sample in (a, b)]
+        for one in stats:
+            assert not any(isinstance(v, np.ndarray) for v in vars(one).values())
+            assert all(type(v) is float for v in one.delta_hat.values())
+            assert type(c2p.estimate(c2p.parse_estimator("td-star:linear"), one)) is float
 
 
 class TestBackendPlumbing:

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -424,6 +426,35 @@ class TestSimulationChunks:
             monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
             for workers in (1, 2):
                 assert outcomes(workers) == want, (chunk, workers)
+
+    @pytest.mark.parametrize("chunk", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_workspace_per_thread(self, monkeypatch, chunk, workers):
+        # every draw and stats call of a thread writes into that thread's
+        # one workspace, and none outlives the call
+        frame, design = c2p.synthetic_population(200, 3), c2p.DesignSpec(200, 30, 10)
+        want = c2p.simulate(frame, design, "td-star:linear", self.REPS, 20, 1, 0.01)
+        made = []
+        draw_rows, stats_rows = _kernels.draw_rows, _kernels.stats_rows
+
+        def drawing(*args, work, **kwargs):
+            assert isinstance(work, _kernels.Workspace)
+            if not any(ref() is work for ref in made):
+                made.append(weakref.ref(work))
+            return draw_rows(*args, work=work, **kwargs)
+
+        def stats(*args, work):
+            assert any(ref() is work for ref in made)
+            return stats_rows(*args, work=work)
+
+        monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
+        monkeypatch.setattr(_kernels, "draw_rows", drawing)
+        monkeypatch.setattr(_kernels, "stats_rows", stats)
+        got = c2p.simulate(frame, design, "td-star:linear", self.REPS, 20, workers, 0.01)
+        assert got == want
+        spans = -(-self.REPS // chunk)  # 11 spans of 4
+        assert len(made) == min(workers, spans, os.cpu_count() or 1)
+        assert all(ref() is None for ref in made)
 
     @pytest.mark.parametrize(
         "workers, cpus, chunk, threads",
