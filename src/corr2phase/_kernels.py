@@ -18,9 +18,9 @@ place that forms the four ratios u, v, w and a: the second-phase
 columns are taken by the ranks of the b x k paired sets, the
 first-phase columns stay (b, 1) and broadcast over them. stats_rows is
 the k = 1 case, pairing row t with row t; exact enumeration computes
-each distinct set once and pairs a block of first-phase sets with
-their subsets by rank (subset_ranker); sampling.sample_statistics is
-the one-row case.
+each distinct set once and pairs blocks of at most PAIR_BLOCK pairs by
+subset rank (subset_ranker); sampling.sample_statistics is the one-row
+case.
 
 moment_rows computes means, sums of products and standardized moments
 d_pqm over (rows x units) arrays: the gathered second-phase rows here,
@@ -77,8 +77,19 @@ def resolve_backend(backend: None = None) -> str:
 # and the three n-wide second-phase gathers, the first of which held
 # the draw's phase-two positions: at most 9 n1. The rest covers what a
 # chunk still allocates (the draw's repeat mask, pair_rows' columns),
-# and chunk_rows sizes chunks from this value.
+# and chunk_rows sizes chunks from this value. enumerate_exact sizes
+# its second-phase chunks the same way, with n for n1; it keeps the
+# C(N, n)-row SecondPhase table they fill and the C(n1, n) subset
+# patterns, and pairs at most PAIR_BLOCK pairs at a time.
 SCRATCH_PER_N1 = 32
+
+# Pairs per enumeration block. A block's float64 column then takes at
+# most 96,000 B, under glibc's default 128 KiB mmap threshold, so
+# malloc serves it from the heap that the previous block freed instead
+# of mapping fresh pages, and it stays in a core's L2 cache. The margin
+# matters: at 16,000 pairs (127,680 B columns) some heap layouts still
+# trimmed and refaulted about 1 MiB per enumerate call.
+PAIR_BLOCK = 12_000
 
 FLAG_DEGENERATE = 1  # a required sample variable is constant
 FLAG_NONFINITE = 2  # a core statistic (r, u, v, w, a) is not finite
@@ -709,15 +720,13 @@ def subset_ranker(N: int, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     return rank
 
 
-def chunk_rows(width: int, cap: int = 16384) -> int:
+def chunk_rows(width: int) -> int:
     """Replications per kernel call, sized to bound scratch memory.
 
     width is the scratch one replication needs, in 8-byte elements; a
-    call then holds about 4e6 of them (32 MB), and at most cap rows.
+    call then holds about 4e6 of them (32 MB), and at most 16384 rows.
     simulate passes SCRATCH_PER_N1 * n1, the draw and the stats kernel
     together; enumerate_exact passes SCRATCH_PER_N1 * n for its
-    second-phase sets and N for its blocks of pairs, each block holding
-    whole first-phase sets with all their second-phase subsets, so its
-    memory is O(block) whatever the number of pairs.
+    second-phase sets.
     """
-    return max(1, min(cap, 4_000_000 // max(width, 1)))
+    return max(1, min(16384, 4_000_000 // max(width, 1)))

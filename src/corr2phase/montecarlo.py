@@ -17,11 +17,13 @@ one call to the next.
 
 enumerate_exact() computes the statistics of each distinct phase once:
 C(N, n1) first-phase sets and C(N, n) second-phase sets. It then
-streams the C(N, n1) * C(n1, n) pairs block by block: the second-phase
-columns are taken by the ranks of each set's subsets, the first-phase
-columns broadcast over them, and each block is evaluated and added to
-exact totals before the next is formed, so it holds O(block) memory
-whatever the number of pairs.
+streams the C(N, n1) * C(n1, n) pairs in blocks of at most
+_kernels.PAIR_BLOCK pairs: the second-phase columns are taken by the
+ranks of each set's subsets, the first-phase columns broadcast over
+them, and each block is evaluated and added to exact totals before the
+next is formed. Besides one block it holds the C(N, n)-row
+second-phase table and the C(n1, n) subset patterns, whatever the
+number of pairs.
 
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
@@ -185,18 +187,19 @@ def _add_totals(a: int | None, b: int | None) -> int | None:
     return None if a is None or b is None else a + b
 
 
-def _round_total(total: int | None, count: int) -> float:
+def _round_total(total: int | None, count: int, unit: str) -> float:
     """An exact total from _exact_total, rounded once by int true division.
 
     NonFiniteEstimate if a term of the count summed was not finite or
-    the total overflows.
+    the total overflows; its message counts the terms in unit, such as
+    "replications".
     """
     if total is not None:
         try:
             return total / (1 << 1074)
         except OverflowError:
             pass
-    raise NonFiniteEstimate(f"a sum over {count} kept replications overflows a float")
+    raise NonFiniteEstimate(f"a sum over {count} kept {unit} overflows a float")
 
 
 def _sum(terms: np.ndarray) -> float:
@@ -207,7 +210,7 @@ def _sum(terms: np.ndarray) -> float:
     an intermediate overflow. NonFiniteEstimate if a term is not finite
     or the total overflows.
     """
-    return _round_total(_exact_total(terms), len(terms))
+    return _round_total(_exact_total(terms), len(terms), "replications")
 
 
 # Skip-code counts, and exact totals of the kept values and of their
@@ -240,25 +243,26 @@ def _tally(tally, values: np.ndarray, codes: np.ndarray, rho: float):
     )
 
 
-def _settle(tally):
-    """Skip accounting, mean and MSE of a run from its tally, each total rounded once."""
+def _settle(tally, unit: str):
+    """Skip accounting, mean and MSE of a run from its tally, each total rounded once.
+
+    unit names what the run counts in its errors: "replications" or "pairs".
+    """
     counts, kept_total, err_total = tally
     counts = counts.tolist()
     k = counts[SKIP_OK]
     total = sum(counts)
     reasons = {label: counts[code] for code, label in SKIP_LABELS.items() if counts[code]}
     if k == 0:
-        raise AllSamplesDegenerate(
-            f"all {total} replications were skipped: {reasons}"
-        )
-    mean = _round_total(kept_total, k) / k
-    mse = _round_total(err_total, k) / k
+        raise AllSamplesDegenerate(f"all {total} {unit} were skipped: {reasons}")
+    mean = _round_total(kept_total, k, unit) / k
+    mse = _round_total(err_total, k, unit) / k
     return k, total - k, reasons, mean, mse
 
 
 def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
-    """_settle of the tally of one block: all the values of a run at once."""
-    return _settle(_tally(_NO_TALLY, values, codes, rho))
+    """_settle of the tally of one block: all the replications of a run at once."""
+    return _settle(_tally(_NO_TALLY, values, codes, rho), "replications")
 
 
 def _standard_errors(kept: np.ndarray, rho: float, mean: float, mse: float):
@@ -294,11 +298,11 @@ def _check_skip_fraction(budget: float) -> None:
 
 
 def _check_skip_budget(
-    skipped: int, total: int, reasons: Mapping[str, int], budget: float
+    skipped: int, total: int, reasons: Mapping[str, int], budget: float, unit: str
 ) -> None:
     if skipped > budget * total:
         raise ExcessiveSkips(
-            f"{skipped} of {total} replications skipped "
+            f"{skipped} of {total} {unit} skipped "
             f"({skipped / total:.2%} > {budget:.2%} allowed): {reasons}"
         )
 
@@ -363,7 +367,7 @@ def simulate(
 
     k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
     se_mean, se_mse = _standard_errors(values[codes == SKIP_OK], m.rho_yx, mean, mse)
-    _check_skip_budget(skipped, reps, reasons, max_skip_fraction)
+    _check_skip_budget(skipped, reps, reasons, max_skip_fraction, "replications")
     return SimulationResult(
         design=design,
         estimator=spec.label(),
@@ -415,10 +419,14 @@ def enumerate_exact(
     Phase-one statistics depend only on the first-phase set, and r, the
     second-phase moments and the plug-in weights only on the second.
     So each of the C(N, n1) first-phase sets and each of the C(N, n)
-    n-subsets of the population is computed once. The pairs are formed
-    a block of first-phase sets at a time, each set's row broadcast over
-    the subset ranks of its C(n1, n) second-phase sets, and each block
-    is evaluated and tallied exactly before the next is formed. The
+    n-subsets of the population is computed once, the latter into one
+    C(N, n)-row table. The pairs are formed in blocks of at most
+    _kernels.PAIR_BLOCK: PAIR_BLOCK // C(n1, n) whole first-phase sets
+    when that is at least one, else slices of one set's C(n1, n)
+    second-phase patterns. A set's row broadcasts over the subset ranks
+    of its patterns, and each block is evaluated and tallied exactly
+    before the next is formed. So the call holds that table, the
+    patterns and one block, whatever the number of pairs, and the
     result equals stats_rows over every pair's index rows in C order,
     whatever the block size.
     """
@@ -442,33 +450,44 @@ def enumerate_exact(
     )
 
     # every second-phase set is an n-subset of range(N): compute each
-    # one's statistics once, in itertools order, and find them by rank
+    # one's statistics once, in itertools order, into one table found by rank
     subsets = itertools.combinations(range(design.N), design.n)
-    step = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n)
-    parts = (
-        _kernels.second_phase_rows(frame.y, frame.x, frame.z, _next_sets(subsets, step, design.n))
-        for _ in range(0, math.comb(design.N, design.n), step)
+    count = math.comb(design.N, design.n)
+    second = _kernels.SecondPhase._make(
+        np.empty(count, np.uint8 if field == "flags" else np.float64)
+        for field in _kernels.SecondPhase._fields
     )
-    second = _kernels.SecondPhase._make(map(np.concatenate, zip(*parts)))
+    step = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n)
+    for lo in range(0, count, step):
+        part = _kernels.second_phase_rows(
+            frame.y, frame.x, frame.z, _next_sets(subsets, step, design.n)
+        )
+        for column, piece in zip(second, part):
+            column[lo : lo + step] = piece
     rank = _kernels.subset_ranker(design.N, design.n)
 
+    # whole first-phase sets per block while they fit in the budget,
+    # else one set's patterns a slice at a time
+    budget = _kernels.PAIR_BLOCK
+    block, width = max(1, budget // k2), min(k2, budget)
     first_sets = itertools.combinations(range(design.N), design.n1)
-    block = max(1, _kernels.chunk_rows(design.N, cap=65536) // k2)
     tally = _NO_TALLY
     for _ in range(0, k1, block):
         fblock = _next_sets(first_sets, block, design.n1)
-        stats = _kernels.pair_rows(
-            _kernels.first_phase_rows(frame.x, frame.z, fblock),
-            second,
-            rank(fblock, patterns),
-            aux.zbar,
-            aux.sz2,
-        )
-        values, codes = evaluate_rows(spec, stats)
-        tally = _tally(tally, values, codes, m.rho_yx)
+        first = _kernels.first_phase_rows(frame.x, frame.z, fblock)
+        for lo in range(0, k2, width):
+            stats = _kernels.pair_rows(
+                first,
+                second,
+                rank(fblock, patterns[lo : lo + width]),
+                aux.zbar,
+                aux.sz2,
+            )
+            values, codes = evaluate_rows(spec, stats)
+            tally = _tally(tally, values, codes, m.rho_yx)
 
-    k, skipped, reasons, mean, mse = _settle(tally)
-    _check_skip_budget(skipped, total, reasons, max_skip_fraction)
+    k, skipped, reasons, mean, mse = _settle(tally, "pairs")
+    _check_skip_budget(skipped, total, reasons, max_skip_fraction, "pairs")
     return EnumerationResult(
         design=design,
         estimator=spec.label(),

@@ -153,10 +153,12 @@ def draw_two_phase(
     """Draw one two-phase sample, replication `rep` of stream `seed`.
 
     Matches exactly the draws a simulation run with the same seed would
-    produce at the same replication index.
+    produce at the same replication index, which lies in [0, 2**64 - 1).
     """
     if design.N != frame.N:
         raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
+    if not 0 <= int(rep) < (1 << 64) - 1:
+        raise InvalidParameter(f"rep must lie in [0, 2**64 - 1), got {int(rep)}")
     first, second = _kernels.draw_rows(
         design.N, design.n1, design.n, reps=1, seed=seed, rep_lo=rep
     )

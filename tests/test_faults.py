@@ -17,4 +17,5 @@ def test_smoke_sizes_print_one_result_per_workload(capsys):
     assert [r["workload"] for r in results] == ["sim-bigframe", "enum-exact"]
     for r in results:
         assert r["ms"] > 0 and r["minor_faults"] >= 0
+        assert r["peak_rss_mb"] > 0
         assert (r["calls"], r["warmup"]) == (2, 1)

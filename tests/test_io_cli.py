@@ -795,14 +795,17 @@ class TestTopLevel:
         assert err.startswith("error: seed must lie in [0, 2**64)")
 
     def test_rep_beyond_stream_is_data_error(self, capsys):
+        # estimate names its own argument at both ends of the stream
         argv = ["estimate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
                 "--seed", "1"]
-        code, out, _ = run_cli(argv + ["--rep", "18446744073709551614"], capsys)
-        assert code == 0 and json.loads(out)["kind"] == "estimate"
-        code, out, err = run_cli(argv + ["--rep", "18446744073709551615"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: replications must lie in")
+        for last in ("0", "18446744073709551614"):
+            code, out, _ = run_cli(argv + ["--rep", last], capsys)
+            assert code == 0 and json.loads(out)["kind"] == "estimate"
+        for rep in ("-1", "18446744073709551615"):
+            code, out, err = run_cli(argv + ["--rep", rep], capsys)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: rep must lie in [0, 2**64 - 1), got {rep}\n"
 
     def test_reps_beyond_memory_is_data_error(self, capsys):
         argv = ["simulate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",
@@ -835,6 +838,30 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert err.startswith("error: max_skip_fraction must lie in [0, 1]")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["enumerate", "--n1", "6", "--n", "2", "--estimator", "td-star:linear",
+              "--max-skip-fraction", "1"],
+             "all 15 pairs were skipped: {'singular_plugin_constants': 15}"),
+            (["enumerate", "--n1", "4", "--n", "3", "--estimator", "td-star:inverse"],
+             "5 of 60 pairs skipped (8.33% > 1.00% allowed): {'singular_denominator': 5}"),
+            (["simulate", "--n1", "6", "--n", "2", "--estimator", "td-star:linear",
+              "--reps", "20", "--seed", "1", "--max-skip-fraction", "1"],
+             "all 20 replications were skipped: {'singular_plugin_constants': 20}"),
+            (["simulate", "--n1", "4", "--n", "3", "--estimator", "td-star:inverse",
+              "--reps", "40", "--seed", "1"],
+             "6 of 40 replications skipped (15.00% > 1.00% allowed): "
+             "{'singular_denominator': 6}"),
+        ],
+        ids=["enumerate-all", "enumerate-budget", "simulate-all", "simulate-budget"],
+    )
+    def test_skip_errors_count_what_the_command_runs(self, args, message, capsys):
+        code, out, err = run_cli(args + ["--pop", "fixtures/sixunit.csv"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_full_skip_fraction_accepted(self, capsys):
         argv = ["enumerate", "--pop", "fixtures/sixunit.csv", "--n", "3", "--n1", "4",

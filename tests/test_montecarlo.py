@@ -165,7 +165,7 @@ def _enumerate_per_pair(frame, design, estimator, max_skip_fraction):
     rho = c2p.population_moments(frame).rho_yx
     values, codes = evaluate_rows(spec, _pair_statistics(frame, design))
     k, skipped, reasons, mean, mse = _aggregate(values, codes, rho)
-    _check_skip_budget(skipped, values.shape[0], reasons, max_skip_fraction)
+    _check_skip_budget(skipped, values.shape[0], reasons, max_skip_fraction, "pairs")
     return EnumerationResult(
         design=design,
         estimator=spec.label(),
@@ -367,6 +367,9 @@ def _outcome_and_message(run, *args):
 
 
 class TestEnumerationBlocks:
+    """enumerate_exact pairs at most PAIR_BLOCK pairs at a time; neither the
+    budget nor the second-phase chunk may change a result or an error."""
+
     @pytest.mark.parametrize(
         "frame, design",
         [(TIES, c2p.DesignSpec(8, 5, 3)), (c2p.random_population(9, 9), c2p.DesignSpec(9, 7, 4))],
@@ -387,11 +390,69 @@ class TestEnumerationBlocks:
             blocks.append(i2.shape[0])
             return pair_rows(first_stats, second_stats, i2, *aux)
 
-        monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: 1)
+        # one second-phase subset per chunk, and one whole set per block
+        monkeypatch.setattr(_kernels, "chunk_rows", lambda width: 1)
+        monkeypatch.setattr(_kernels, "PAIR_BLOCK", math.comb(design.n1, design.n))
         monkeypatch.setattr(_kernels, "pair_rows", one_set_pair_rows)
         assert outcomes() == want
         assert set(blocks) == {1}
         assert len(blocks) == len(LABELS) * math.comb(design.N, design.n1)
+
+    @pytest.mark.parametrize(
+        "frame, design, pairs",
+        [
+            (TIES, c2p.DesignSpec(8, 5, 3), 7),  # C(5, 3) = 10 > 7: slices of one set
+            (TIES, c2p.DesignSpec(8, 5, 3), 25),  # two whole sets per block
+            (c2p.random_population(9, 9), c2p.DesignSpec(9, 7, 4), 16),  # C(7, 4) = 35
+        ],
+        ids=["ties-slices", "ties-sets", "random-slices"],
+    )
+    def test_blocks_stay_within_the_budget(self, monkeypatch, frame, design, pairs):
+        runs = [(label, budget) for label in LABELS for budget in (0.01, 1.0)]
+        want = [
+            _outcome_and_message(c2p.enumerate_exact, frame, design, label, 4_000_000, budget)
+            for label, budget in runs
+        ]
+        k2 = math.comb(design.n1, design.n)
+        patterns = np.array(list(itertools.combinations(range(design.n1), design.n)))
+        first_sets = list(itertools.combinations(range(design.N), design.n1))
+        shapes, slices = [], {}
+        pair_rows, subset_ranker = _kernels.pair_rows, _kernels.subset_ranker
+
+        def recording_pair_rows(first_stats, second_stats, i2, *aux):
+            shapes.append(i2.shape)
+            return pair_rows(first_stats, second_stats, i2, *aux)
+
+        def recording_ranker(N, n):
+            rank = subset_ranker(N, n)
+
+            def recording_rank(sets, some_patterns):
+                for row in sets.tolist():
+                    slices.setdefault(tuple(row), []).append(some_patterns)
+                return rank(sets, some_patterns)
+
+            return recording_rank
+
+        monkeypatch.setattr(_kernels, "PAIR_BLOCK", pairs)
+        monkeypatch.setattr(_kernels, "pair_rows", recording_pair_rows)
+        monkeypatch.setattr(_kernels, "subset_ranker", recording_ranker)
+        for (label, budget), expect in zip(runs, want):
+            shapes.clear()
+            slices.clear()
+            assert _outcome_and_message(
+                c2p.enumerate_exact, frame, design, label, 4_000_000, budget
+            ) == expect, (label, budget)
+            assert all(b * k <= pairs for b, k in shapes)
+            assert sum(b * k for b, k in shapes) == len(first_sets) * k2
+            if k2 <= pairs:
+                assert {k for _, k in shapes} == {k2}
+                assert max(b for b, _ in shapes) == pairs // k2
+            else:
+                assert {b for b, _ in shapes} == {1}
+            # every first-phase set, in order, with each pattern exactly once
+            assert list(slices) == first_sets
+            for seen in slices.values():
+                assert np.array_equal(np.concatenate(seen), patterns)
 
 
 class TestSimulationChunks:
@@ -423,7 +484,7 @@ class TestSimulationChunks:
             seen = set().union(*(result.skip_reasons for result in want))
             assert seen == set(SKIP_LABELS.values())
         for chunk in (1, 4):
-            monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
+            monkeypatch.setattr(_kernels, "chunk_rows", lambda width: chunk)
             for workers in (1, 2):
                 assert outcomes(workers) == want, (chunk, workers)
 
@@ -447,7 +508,7 @@ class TestSimulationChunks:
             assert any(ref() is work for ref in made)
             return stats_rows(*args, work=work)
 
-        monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
+        monkeypatch.setattr(_kernels, "chunk_rows", lambda width: chunk)
         monkeypatch.setattr(_kernels, "draw_rows", drawing)
         monkeypatch.setattr(_kernels, "stats_rows", stats)
         got = c2p.simulate(frame, design, "td-star:linear", self.REPS, 20, workers, 0.01)
@@ -488,7 +549,7 @@ class TestSimulationChunks:
         want = c2p.simulate(TIES, design, "td-star:linear", self.REPS, 20, 1, 1.0)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(_kernels, "chunk_rows", lambda width, cap=16384: chunk)
+        monkeypatch.setattr(_kernels, "chunk_rows", lambda width: chunk)
         got = c2p.simulate(TIES, design, "td-star:linear", self.REPS, 20, workers, 1.0)
         assert got == want
         assert sizes == ([] if threads is None else [threads])
@@ -767,12 +828,13 @@ class TestExactSum:
             total = montecarlo._add_totals(total, montecarlo._exact_total(terms[lo:hi]))
         if bad or abs(_exact_units(terms)) >= OVERFLOW_UNITS:
             message = f"a sum over {k} kept replications overflows a float"
-            for run, args in ((montecarlo._round_total, (total, k)), (_sum, (terms,))):
+            for run, args in ((montecarlo._round_total, (total, k, "replications")),
+                              (_sum, (terms,))):
                 with pytest.raises(NonFiniteEstimate) as info:
                     run(*args)
                 assert str(info.value) == message
             return
-        assert _bits(montecarlo._round_total(total, k)) == _bits(_sum(terms))
+        assert _bits(montecarlo._round_total(total, k, "replications")) == _bits(_sum(terms))
 
     def test_skip_reasons_keep_label_order(self):
         codes = np.array([5, 3, 0, 1, 3, 2, 0, 4, 5], np.uint8)

@@ -12,10 +12,13 @@ simulate or enumerate_exact on it directly, with no CLI and no CSV:
 first some untimed warm-up calls, then the timed ones. For each timed
 call it reads the wall time and the process's minor page faults
 (resource.getrusage(RUSAGE_SELF).ru_minflt), and it prints one JSON
-object per workload with the median of each. A minor fault is a first
-touch of a page the process had handed back or never used, so a count
-that stays high after the warm-ups measures memory that a call frees
-and allocates again.
+object per workload with the median of each and the process's peak
+resident set size (ru_maxrss, in MiB) after the last call. A minor
+fault is a first touch of a page the process had handed back or never
+used, so a count that stays high after the warm-ups measures memory
+that a call frees and allocates again. Each workload runs in a fresh
+Python process of its own, because ru_maxrss only ever grows: a peak
+left by one workload would hide the next one's.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,7 +55,10 @@ def library_call(name: str, smoke: bool):
 
 
 def measure(call, calls: int, warmup: int) -> dict:
-    """Median milliseconds and minor faults of `calls` timed calls after `warmup` others."""
+    """Median milliseconds and minor faults of `calls` timed calls after `warmup` others.
+
+    Also the process's peak RSS in MiB after them (Linux reports ru_maxrss in KiB).
+    """
     for _ in range(warmup):
         call()
     ms, faults = [], []
@@ -61,8 +68,23 @@ def measure(call, calls: int, warmup: int) -> dict:
         call()
         ms.append((time.perf_counter() - start) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"ms": statistics.median(ms), "minor_faults": statistics.median(faults),
-            "calls": calls, "warmup": warmup}
+            "peak_rss_mb": round(peak, 2), "calls": calls, "warmup": warmup}
+
+
+def measure_workload(name: str, smoke: bool) -> None:
+    """Print one workload's JSON result line; run in a process of its own."""
+    calls, warmup = (2, 1) if smoke else (10, 3)
+    result = measure(library_call(name, smoke), calls, warmup)
+    print(json.dumps({"workload": name, **result}), flush=True)
+
+
+# what a workload's fresh process runs: this module's measure_workload
+CHILD = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import faults; "
+    "faults.measure_workload(sys.argv[2], sys.argv[3] == 'smoke')"
+)
 
 
 def main(argv=None) -> None:
@@ -70,10 +92,11 @@ def main(argv=None) -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="the workloads' tiny sizes, 2 timed calls after 1 warm-up")
     args = parser.parse_args(argv)
-    calls, warmup = (2, 1) if args.smoke else (10, 3)
     for name in NAMES:
-        result = measure(library_call(name, args.smoke), calls, warmup)
-        print(json.dumps({"workload": name, **result}), flush=True)
+        child = [sys.executable, "-c", CHILD, str(ROOT / "tools"), name,
+                 "smoke" if args.smoke else "full"]
+        proc = subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True)
+        print(proc.stdout, end="", flush=True)
 
 
 if __name__ == "__main__":
