@@ -78,9 +78,12 @@ def resolve_backend(backend: None = None) -> str:
 # the draw's phase-two positions: at most 9 n1. The rest covers what a
 # chunk still allocates (the draw's repeat mask, pair_rows' columns),
 # and chunk_rows sizes chunks from this value. enumerate_exact sizes
-# its second-phase chunks the same way, with n for n1; it keeps the
-# C(N, n)-row SecondPhase table they fill and the C(n1, n) subset
-# patterns, and pairs at most PAIR_BLOCK pairs at a time.
+# its second-phase chunks the same way, with n for n1, and its chunks
+# of first-phase sets with n1, rounded down to whole blocks; it keeps
+# the C(N, n)-row SecondPhase table the second-phase chunks fill, one
+# chunk of first-phase sets with their FirstPhase columns and one slice
+# of at most PAIR_BLOCK subset patterns, and pairs at most PAIR_BLOCK
+# pairs at a time.
 SCRATCH_PER_N1 = 32
 
 # Pairs per enumeration block. A block's float64 column then takes at
@@ -727,6 +730,6 @@ def chunk_rows(width: int) -> int:
     call then holds about 4e6 of them (32 MB), and at most 16384 rows.
     simulate passes SCRATCH_PER_N1 * n1, the draw and the stats kernel
     together; enumerate_exact passes SCRATCH_PER_N1 * n for its
-    second-phase sets.
+    second-phase sets and SCRATCH_PER_N1 * n1 for its first-phase sets.
     """
     return max(1, min(16384, 4_000_000 // max(width, 1)))

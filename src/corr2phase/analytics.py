@@ -30,7 +30,7 @@ from .errors import (
     SingularDenominator,
     ZeroCorrelation,
 )
-from .moments import MomentSet, check_float_size
+from .moments import MomentSet, check_float_size, finite_number
 
 
 @dataclass(frozen=True)
@@ -274,10 +274,11 @@ def efficiency_report(
 ) -> VarianceReport:
     """Full efficiency summary at the design (n, n1).
 
-    When `published` supplies reference PRE values (keys among "r",
-    "hd", "td"), each is compared against the computed value and any
-    disagreement beyond half a point is spelled out in the notes. The
-    published numbers are carried through verbatim either way.
+    When `published` supplies reference PRE values (a mapping from keys
+    among "r", "hd", "td" to finite numbers, else InvalidParameter),
+    each is compared against the computed value and any disagreement
+    beyond half a point is spelled out in the notes. The published
+    numbers are carried through verbatim either way.
     """
     base, red_x, gap = _variance_components(m, n, n1)
     hd = base - red_x
@@ -290,6 +291,10 @@ def efficiency_report(
         "terms beyond 1/n dropped"
     )
     if published is not None:
+        if not isinstance(published, Mapping):
+            raise InvalidParameter(
+                f"published PRE values must be an object of numbers, got {published!r}"
+            )
         unknown = sorted(set(published) - set(_PUBLISHED_KEYS))
         if unknown:
             raise InvalidParameter(f"unknown published PRE keys: {unknown}")
@@ -297,7 +302,7 @@ def efficiency_report(
         for key in _PUBLISHED_KEYS:
             if key not in published:
                 continue
-            pub = float(published[key])
+            pub = finite_number(f"published PRE[{key}]", published[key])
             comp = computed[key]
             diff = comp - pub
             if abs(diff) > 0.5:

@@ -140,6 +140,8 @@ def parse_estimator(text: str) -> EstimatorSpec:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"bad constant in {text!r}: {exc}") from None
+    if not np.isfinite(values).all():
+        raise ParseError(f"bad constant in {text!r}: constants must be finite")
     return EstimatorSpec(kind=head, constants=values)
 
 

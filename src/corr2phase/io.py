@@ -182,8 +182,8 @@ def load_params_json(path: str | os.PathLike) -> dict:
 
     Semantic validation (key names, ranges, consistency) happens in
     moments_from_params so that library callers constructing dicts get
-    the same checks. Text that is not UTF-8 and nesting too deep for
-    the parser are ParseErrors.
+    the same checks. Text that is not UTF-8, nesting too deep for the
+    parser and integers longer than Python converts are ParseErrors.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -194,6 +194,8 @@ def load_params_json(path: str | os.PathLike) -> dict:
             raise _not_utf8(path, exc) from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply") from None
+        except ValueError:  # Python's limit on the digits of an int
+            raise ParseError(f"{path}: an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return doc

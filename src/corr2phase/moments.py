@@ -187,6 +187,23 @@ def check_float_size(name: str, size: int) -> None:
         ) from None
 
 
+def finite_number(name: str, value: object) -> float:
+    """value as a finite float: InvalidParameter unless it is a finite int or float.
+
+    A bool is not a number here, and an int beyond float64's range is
+    not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidParameter(f"{name} must be finite")
+    return number
+
+
 def population_moments(frame: PopulationFrame) -> MomentSet:
     """Compute the exact moment table of a full population.
 
@@ -316,18 +333,6 @@ def moments_from_params(
     if unknown:
         raise InvalidParameter(f"unrecognized parameter keys: {sorted(unknown)}")
 
-    def as_float(key: str) -> float:
-        value = params[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidParameter(f"{key} must be a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond float64's range
-            number = math.inf
-        if not math.isfinite(number):
-            raise InvalidParameter(f"{key} must be finite")
-        return number
-
     N: int | None = None
     for key in ("N", "n", "n1"):
         if key in params:
@@ -343,7 +348,7 @@ def moments_from_params(
     scalars: dict[str, float | None] = {k.lower(): None for k in _SCALAR_KEYS}
     for key in _SCALAR_KEYS:
         if key in params:
-            scalars[key.lower()] = as_float(key)
+            scalars[key.lower()] = finite_number(key, params[key])
 
     for key in ("s2_y", "s2_x", "s2_z"):
         value = scalars[key]
@@ -370,7 +375,7 @@ def moments_from_params(
     delta: dict[tuple[int, int, int], float] = {}
     for name, triple in _NAME_TRIPLES.items():
         if name in params:
-            delta[triple] = as_float(name)
+            delta[triple] = finite_number(name, params[name])
 
     for triple in _IDENTITY_TRIPLES:
         if triple in delta and abs(delta[triple] - 1.0) > 1e-9:
@@ -407,7 +412,8 @@ def moments_from_params(
 
     for fourth, third in (((0, 4, 0), (0, 3, 0)), ((0, 0, 4), (0, 0, 3))):
         if fourth in delta and third in delta:
-            slack = delta[fourth] - delta[third] ** 2 - 1.0
+            # a product overflows to inf where ** would raise
+            slack = delta[fourth] - delta[third] * delta[third] - 1.0
             if slack < -1e-12:
                 raise InvalidParameter(
                     f"{delta_name(fourth)} < {delta_name(third)}^2 + 1; no "

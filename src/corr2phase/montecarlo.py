@@ -21,9 +21,14 @@ streams the C(N, n1) * C(n1, n) pairs in blocks of at most
 _kernels.PAIR_BLOCK pairs: the second-phase columns are taken by the
 ranks of each set's subsets, the first-phase columns broadcast over
 them, and each block is evaluated and added to exact totals before the
-next is formed. Besides one block it holds the C(N, n)-row
-second-phase table and the C(n1, n) subset patterns, whatever the
-number of pairs.
+next is formed. It holds the C(N, n)-row second-phase table, one chunk
+of first-phase sets with their statistics (chunk_rows bounds it as it
+bounds the second-phase chunks), one slice of subset patterns and one
+block, whatever the number of pairs.
+
+Every total is exact: _exact_total sums float64 terms by error-free
+extraction into a Python int, and each run's totals are rounded once at
+the end.
 
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
@@ -134,51 +139,68 @@ def analytic_variance_for(
         return None
 
 
-# Terms per pass of _exact_total: each bin then adds at most 2**26
-# halves of 53-bit mantissas, so every float64 partial sum stays exact.
+# Terms per pass of _exact_total. A pass of n terms extracts 53 -
+# ceil(log2 n) bits per round, so the pass must stay well below 2**53
+# terms; at 2**26 a round still gains 27 bits.
 SUM_BLOCK = 1 << 26
-_SIGN = -(1 << 63)  # bit masks of a float64 viewed as int64
-_FRACTION = (1 << 52) - 1
+# Terms too large for an extraction constant are scaled down by this
+# power of two, which keeps them normal and so exact.
+_BIG_SHIFT = 128
+
+
+def _pass_total(x: np.ndarray) -> int | None:
+    """_exact_total of at most SUM_BLOCK float64 terms."""
+    n = x.shape[0]
+    if n == 0:
+        return 0
+    hi, lo = float(x.max()), float(x.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):  # NaN reaches both
+        return None
+    spread = (n - 1).bit_length()  # 2**spread >= n
+    top = max(hi, -lo)
+    total = 0
+    # sigma = 2**(e + spread) with |x| < 2**e, and sigma + x stays
+    # finite, only while |x| < 2**(1022 - spread)
+    limit = math.ldexp(1.0, 1022 - spread)
+    if top >= limit:
+        big = np.abs(x) >= limit
+        total = _pass_total(x[big] * math.ldexp(1.0, -_BIG_SHIFT)) << _BIG_SHIFT
+        x = x[~big]
+        top = max(float(x.max()), -float(x.min())) if x.shape[0] else 0.0
+    q = rest = None
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + spread)
+        q = np.add(x, sigma, out=q)
+        q -= sigma  # each term's part on the grid of sigma * 2**-53
+        x = rest = np.subtract(x, q, out=rest)
+        num, den = float(q.sum()).as_integer_ratio()
+        total += num << (1075 - den.bit_length())  # den is 2**(bit_length - 1)
+        top = max(float(x.max()), -float(x.min()))
+    return total
 
 
 def _exact_total(terms: np.ndarray) -> int | None:
     """The exact sum of float64 terms, in units of 2**-1074; None if a term is not finite.
 
-    Each term is a signed 53-bit integer mantissa times a power of two.
-    The mantissas are split into a high 26-bit and a low 27-bit half,
-    and each half is summed per sign and exponent with bincount. No
-    partial sum then needs more than 53 significant bits, so the float
-    sums are exact. The few non-empty bins are added as Python ints
-    (exact summation by exponent, Demmel & Hida 2003). Totals of
-    separate pieces of an array add up to the total of the whole.
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 31, 2008): with n terms below 2**e
+    in magnitude and sigma = 2**(e + ceil(log2 n)), q = (x + sigma) -
+    sigma and x - q are both exact, every q is a multiple of
+    sigma * 2**-53 of magnitude at most sigma / n, so the float sum of
+    the q is exact in any order. That sum is added to a Python int and
+    the round repeats on the remainders x - q until all are zero, each
+    round taking 53 - ceil(log2 n) more bits. Terms too large for
+    sigma to be finite are summed scaled down by an exact power of two.
+    Totals of separate pieces of an array add up to the total of the
+    whole.
     """
-    bits = np.ascontiguousarray(terms, dtype=np.float64).view(np.int64)
+    x = np.ascontiguousarray(terms, dtype=np.float64)
     total = 0
-    for lo in range(0, bits.shape[0], SUM_BLOCK):
-        block = bits[lo : lo + SUM_BLOCK]
-        key = block >> 52
-        key &= 0xFFF  # sign and biased exponent
-        # the mantissa with its implicit bit, and its high half, as
-        # integral floats: the exponent field set to that of 2**52
-        whole = block & (_SIGN | _FRACTION)
-        whole |= 1075 << 52
-        high = block & (_SIGN | _FRACTION & -(1 << 27))
-        high |= 1075 << 52
-        high = high.view(np.float64)
-        low = whole.view(np.float64)
-        low -= high
-        high_sums = np.bincount(key, weights=high)
-        if high_sums[0x7FF::0x800].any():  # an inf or NaN term
+    for lo in range(0, x.shape[0], SUM_BLOCK):
+        part = _pass_total(x[lo : lo + SUM_BLOCK])
+        if part is None:
             return None
-        low_sums = np.bincount(key, weights=low)
-        for k in np.flatnonzero(high_sums).tolist():
-            e = k & 0x7FF
-            mantissas = int(high_sums[k]) + int(low_sums[k])
-            if e == 0:
-                # zeros and subnormals have no implicit bit to count
-                extra = int(np.count_nonzero(key == k)) << 52
-                mantissas += extra if k & 0x800 else -extra
-            total += mantissas << max(e - 1, 0)
+        total += part
     return total
 
 
@@ -423,12 +445,15 @@ def enumerate_exact(
     C(N, n)-row table. The pairs are formed in blocks of at most
     _kernels.PAIR_BLOCK: PAIR_BLOCK // C(n1, n) whole first-phase sets
     when that is at least one, else slices of one set's C(n1, n)
-    second-phase patterns. A set's row broadcasts over the subset ranks
-    of its patterns, and each block is evaluated and tallied exactly
-    before the next is formed. So the call holds that table, the
-    patterns and one block, whatever the number of pairs, and the
-    result equals stats_rows over every pair's index rows in C order,
-    whatever the block size.
+    second-phase patterns. The first-phase sets and their statistics
+    are formed a chunk of whole blocks at a time, and each chunk reads
+    the patterns from itertools a slice at a time. A set's row
+    broadcasts over the subset ranks of its patterns, and each block is
+    evaluated and tallied exactly before the next is formed. So the
+    call holds that table, one chunk of sets, one slice of patterns and
+    one block, whatever the number of pairs, and the result equals
+    stats_rows over every pair's index rows in C order, whatever the
+    block and chunk sizes.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -444,10 +469,6 @@ def enumerate_exact(
 
     m = population_moments(frame)
     aux = KnownAux(m.mean_z, m.s2_z)
-
-    patterns = _next_sets(
-        itertools.combinations(range(design.n1), design.n), k2, design.n
-    )
 
     # every second-phase set is an n-subset of range(N): compute each
     # one's statistics once, in itertools order, into one table found by rank
@@ -467,24 +488,32 @@ def enumerate_exact(
     rank = _kernels.subset_ranker(design.N, design.n)
 
     # whole first-phase sets per block while they fit in the budget,
-    # else one set's patterns a slice at a time
+    # else one set per block with its patterns a slice at a time; the
+    # sets and their statistics come a chunk of whole blocks at a time,
+    # and each chunk's patterns slice by slice from itertools
     budget = _kernels.PAIR_BLOCK
     block, width = max(1, budget // k2), min(k2, budget)
+    chunk = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n1)
+    chunk = max(1, chunk // block) * block
     first_sets = itertools.combinations(range(design.N), design.n1)
     tally = _NO_TALLY
-    for _ in range(0, k1, block):
-        fblock = _next_sets(first_sets, block, design.n1)
-        first = _kernels.first_phase_rows(frame.x, frame.z, fblock)
-        for lo in range(0, k2, width):
-            stats = _kernels.pair_rows(
-                first,
-                second,
-                rank(fblock, patterns[lo : lo + width]),
-                aux.zbar,
-                aux.sz2,
-            )
-            values, codes = evaluate_rows(spec, stats)
-            tally = _tally(tally, values, codes, m.rho_yx)
+    for _ in range(0, k1, chunk):
+        fchunk = _next_sets(first_sets, chunk, design.n1)
+        first = _kernels.first_phase_rows(frame.x, frame.z, fchunk)
+        patterns = itertools.combinations(range(design.n1), design.n)
+        for _ in range(0, k2, width):
+            some = _next_sets(patterns, width, design.n)
+            for lo in range(0, fchunk.shape[0], block):
+                hi = lo + block
+                stats = _kernels.pair_rows(
+                    _kernels.FirstPhase._make(column[lo:hi] for column in first),
+                    second,
+                    rank(fchunk[lo:hi], some),
+                    aux.zbar,
+                    aux.sz2,
+                )
+                values, codes = evaluate_rows(spec, stats)
+                tally = _tally(tally, values, codes, m.rho_yx)
 
     k, skipped, reasons, mean, mse = _settle(tally, "pairs")
     _check_skip_budget(skipped, total, reasons, max_skip_fraction, "pairs")

@@ -7,7 +7,9 @@ and the optimum-constant layer run under mpmath at 50 digits, sample
 draws are re-implemented in pure Python integers, and the small design
 is enumerated with an explicit double loop. Tests compare the engine's
 float64 results against these values at tolerances just above float64
-rounding, so an algebra mistake in the engine cannot hide.
+rounding, so an algebra mistake in the engine cannot hide. exact_total
+is the exact float64 sum by exponent bins that the engine used before
+error-free extraction; its integers are the reference for the new ones.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -52,6 +55,56 @@ def draw_pair(N: int, n1: int, n: int, seed: int, rep: int):
 def constant_rows(c):
     """Rows of the 2-D array c that take one value, by == (PopulationFrame's min == max)."""
     return (c == c[:, :1]).all(axis=1)
+
+
+# ----------------------------------------------------------------------
+# exact summation by exponent: the engine's former _exact_total, kept as
+# the reference for its replacement
+
+SUM_BLOCK = 1 << 26
+_SIGN = -(1 << 63)  # bit masks of a float64 viewed as int64
+_FRACTION = (1 << 52) - 1
+
+
+def exact_total(terms) -> int | None:
+    """The exact sum of float64 terms, in units of 2**-1074; None if a term is not finite.
+
+    Each term is a signed 53-bit integer mantissa times a power of two.
+    The mantissas are split into a high 26-bit and a low 27-bit half,
+    and each half is summed per sign and exponent with bincount. No
+    partial sum then needs more than 53 significant bits, so the float
+    sums are exact. The few non-empty bins are added as Python ints
+    (exact summation by exponent, Demmel & Hida 2003). Totals of
+    separate pieces of an array add up to the total of the whole.
+    """
+    bits = np.ascontiguousarray(terms, dtype=np.float64).view(np.int64)
+    total = 0
+    for lo in range(0, bits.shape[0], SUM_BLOCK):
+        block = bits[lo : lo + SUM_BLOCK]
+        key = block >> 52
+        key &= 0xFFF  # sign and biased exponent
+        # the mantissa with its implicit bit, and its high half, as
+        # integral floats: the exponent field set to that of 2**52
+        whole = block & (_SIGN | _FRACTION)
+        whole |= 1075 << 52
+        high = block & (_SIGN | _FRACTION & -(1 << 27))
+        high |= 1075 << 52
+        high = high.view(np.float64)
+        low = whole.view(np.float64)
+        low -= high
+        high_sums = np.bincount(key, weights=high)
+        if high_sums[0x7FF::0x800].any():  # an inf or NaN term
+            return None
+        low_sums = np.bincount(key, weights=low)
+        for k in np.flatnonzero(high_sums).tolist():
+            e = k & 0x7FF
+            mantissas = int(high_sums[k]) + int(low_sums[k])
+            if e == 0:
+                # zeros and subnormals have no implicit bit to count
+                extra = int(np.count_nonzero(key == k)) << 52
+                mantissas += extra if k & 0x800 else -extra
+            total += mantissas << max(e - 1, 0)
+    return total
 
 
 # ----------------------------------------------------------------------

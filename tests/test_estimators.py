@@ -147,6 +147,9 @@ class TestSpecParsing:
             "h-linear:a,b",
             "t-power",
             "t-power:",
+            "t-linear:inf,1,1,1",
+            "h-linear:nan,0",
+            "h-power:0,1e400",
         ],
     )
     def test_parse_rejects(self, text):

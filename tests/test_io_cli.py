@@ -336,16 +336,29 @@ class TestParamsJson:
         with pytest.raises(ParseError, match="deep.json: JSON nested too deeply"):
             io.load_params_json(path)
 
+    def test_integer_beyond_conversion_limit_is_parse_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"N": ' + "1" * 5000 + "}")
+        with pytest.raises(ParseError, match="long.json: an integer has too many digits"):
+            io.load_params_json(path)
+
+
+def _run_argv(argv):
+    """cli.main on argv with captured output: (exit code, stdout, stderr).
+
+    capsys is function-scoped, which Hypothesis rejects across examples.
+    """
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
 
 class TestMalformedInputFuzz:
     """Random bytes as input files: exit 0 or 1, never an exception."""
-
-    @staticmethod
-    def run_quietly(argv):
-        # capsys is function-scoped, which Hypothesis rejects across examples
-        out, err = StringIO(), StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return cli.main(argv)
 
     @given(
         data=st.one_of(
@@ -357,7 +370,7 @@ class TestMalformedInputFuzz:
     def test_moments_csv(self, data, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data)
-        assert self.run_quietly(["moments", str(path)]) in (0, 1)
+        assert _run_argv(["moments", str(path)])[0] in (0, 1)
 
     @given(data=st.binary(max_size=300))
     @settings(max_examples=150, deadline=None)
@@ -365,7 +378,7 @@ class TestMalformedInputFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         path.write_bytes(data)
         argv = ["efficiency", "--params", str(path), "--n", "3", "--n1", "4"]
-        assert self.run_quietly(argv) in (0, 1)
+        assert _run_argv(argv)[0] in (0, 1)
 
 
 def _unit_column(size):
@@ -433,13 +446,134 @@ class TestSameFailureEverywhere:
             except c2p.Corr2PhaseError as exc:
                 table_error = f"error: {exc}"
             for command, argv in argvs.items():
-                out, err = StringIO(), StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
+                code, _, err = _run_argv(argv)
                 assert code in (0, 1), command
                 if table_error is not None:
                     assert code == 1, command
-                    assert err.getvalue().splitlines()[0] == table_error, command
+                    assert err.splitlines()[0] == table_error, command
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error:"), err
+    elif code == 2:
+        assert err.startswith("usage:"), err
+
+
+ARITY = {"gen-power": 4, "t-power": 4, "t-linear": 4, "difference": 4, "h-power": 2,
+         "h-linear": 2}
+ODD_CONSTANT = st.one_of(
+    st.floats(-3, 3).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "1e308", "5e-324", "-0",
+                     "", "abc", "0x10", "1_0", " 2 "]),
+)
+ODD_LABEL = st.one_of(
+    st.sampled_from(["sample-r", "chain-ratio", "td-star:power", "td-star:product",
+                     "td-star:linear", "td-star:ratio", "td-star:inverse"]),
+    st.sampled_from(sorted(ARITY)).flatmap(lambda kind: st.builds(
+        lambda constants: kind + ":" + ",".join(constants),
+        st.lists(ODD_CONSTANT, min_size=ARITY[kind], max_size=ARITY[kind]))),
+    st.builds(lambda kind, constants: kind + ":" + ",".join(constants),
+              st.sampled_from(sorted(ARITY) + ["td-star", "mystery", "sample-r", ""]),
+              st.lists(ODD_CONSTANT, max_size=5)),
+)
+SIZE = st.one_of(st.integers(-2, 14),
+                 st.sampled_from(["1" + "0" * 30, "2.5", "x"])).map(str)
+# half the designs nest, n <= n1 <= 6
+DESIGN = st.one_of(
+    st.integers(2, 6).flatmap(lambda n1: st.tuples(st.integers(2, n1), st.just(n1)))
+    .map(lambda sizes: tuple(map(str, sizes))),
+    st.tuples(SIZE, SIZE),
+)
+SEED = st.one_of(st.integers(0, 50), st.integers(-3, 50),
+                 st.sampled_from([2**64 - 1, 2**64, 2**70])).map(str)
+BUDGET = st.one_of(st.sampled_from(["0.01", "1"]),
+                   st.sampled_from(["0", "0.5", "1.5", "-0.1", "nan", "inf", "x"]))
+
+
+@st.composite
+def _odd_argv(draw, populations):
+    """argv for one of the five commands with odd labels, sizes, seeds,
+    reps, workers, --rep and skip budgets."""
+    command = draw(st.sampled_from(["moments", "efficiency", "estimate", "simulate",
+                                    "enumerate"]))
+    pop = draw(st.sampled_from(populations))
+    if command == "moments":
+        return [command, pop]
+    n, n1 = draw(DESIGN)
+    design = ["--n", n, "--n1", n1]
+    if command == "efficiency":
+        if draw(st.booleans()):
+            return [command, "--pop", pop, *design]
+        flag = ["--delta310-from-delta300"] if draw(st.booleans()) else []
+        sizes = design if draw(st.booleans()) else []
+        return [command, "--params", os.path.join("fixtures", "murthy67.json"), *flag,
+                *sizes]
+    argv = [command, "--pop", pop, *design]
+    if command == "estimate":
+        argv += ["--seed", draw(SEED)]
+        if draw(st.booleans()):
+            argv += ["--rep", draw(SEED)]
+        for label in draw(st.lists(ODD_LABEL, max_size=2)):
+            argv += ["--estimator", label]
+        return argv
+    argv += ["--estimator", draw(ODD_LABEL),
+             "--max-skip-fraction", draw(BUDGET)]
+    if command == "simulate":
+        argv += ["--reps", draw(st.one_of(st.integers(1, 30), st.integers(-1, 30),
+                                          st.just(10**18)).map(str)),
+                 "--seed", draw(SEED),
+                 "--workers", draw(st.sampled_from(["1", "2", "-1", "0", "64"]))]
+    else:
+        argv += ["--cap", draw(st.sampled_from(["2000000", "0", "100"]))]
+    return argv
+
+
+class TestArgumentFuzz:
+    """Odd arguments and parameter files: exit 0, 1 or 2, never an
+    escaped exception, and a failure says error: or prints the usage."""
+
+    @pytest.fixture(scope="class")
+    def populations(self, tmp_path_factory):
+        frame = c2p.random_population(12, seed=7)
+        path = tmp_path_factory.mktemp("fuzz") / "twelve.csv"
+        path.write_text("y,x,z\n" + "".join(
+            f"{y!r},{x!r},{z!r}\n" for y, x, z in zip(frame.y, frame.x, frame.z)))
+        return [os.path.join("fixtures", "sixunit.csv"), str(path)]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_argv(self, populations, data):
+        code, _, err = _run_argv(data.draw(_odd_argv(populations)))
+        _assert_clean_exit(code, err)
+
+    ODD_VALUES = [None, True, False, "x", [], [1.0], {}, {"r": 1}, math.inf, -math.inf,
+                  math.nan, 1e308, -1e308, 2**70, 10**400]
+
+    @given(data=st.data(), flag=st.booleans(), sizes=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_params_file(self, published_params, data, flag, sizes, tmp_path_factory):
+        keys = sorted(published_params) + ["published_pre.r", "published_pre.hd",
+                                           "published_pre.td"]
+        edits = data.draw(st.lists(
+            st.tuples(st.sampled_from(keys), st.sampled_from(self.ODD_VALUES)),
+            min_size=1, max_size=3,
+        ))
+        doc = json.loads(json.dumps(published_params))
+        for key, value in edits:
+            head, _, sub = key.partition(".")
+            if sub and isinstance(doc.get(head), dict):
+                doc[head][sub] = value
+            else:
+                doc[head] = value
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(doc))
+        argv = ["efficiency", "--params", str(path)]
+        argv += ["--delta310-from-delta300"] if flag else []
+        argv += ["--n", "10", "--n1", "25"] if sizes else []
+        code, _, err = _run_argv(argv)
+        _assert_clean_exit(code, err)
 
 
 class TestRenderReport:
@@ -530,6 +664,29 @@ class TestEfficiencyCommand:
         doc = json.loads(out)
         assert doc["inputs"]["n"] == 10
         assert doc["inputs"]["n1"] == 25
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"published_pre": 5}, "published PRE values must be an object of numbers, got 5"),
+            ({"published_pre": [100]}, "published PRE values must be an object of numbers"),
+            ({"published_pre": {"td": "305"}}, "published PRE[td] must be a number, got '305'"),
+            ({"published_pre": {"hd": True}}, "published PRE[hd] must be a number, got True"),
+            ({"published_pre": {"hd": math.inf}}, "published PRE[hd] must be finite"),
+            ({"published_pre": {"r": 10**400}}, "published PRE[r] must be finite"),
+            ({"d_003": 1e308}, "d_004 < d_003^2 + 1; no distribution has such a moment pair"),
+            ({"d_030": -1e308}, "d_040 < d_030^2 + 1; no distribution has such a moment pair"),
+        ],
+    )
+    def test_bad_params_are_data_errors(self, edit, message, published_params, tmp_path,
+                                        capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**published_params, **edit}))
+        argv = ["efficiency", "--params", str(path), "--delta310-from-delta300"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_missing_substitution_flag_fails(self, capsys):
         code, _, err = run_cli(
@@ -793,6 +950,24 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert err.startswith("error: seed must lie in [0, 2**64)")
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "enumerate"])
+    @pytest.mark.parametrize("constant", ["inf", "nan", "1e400"])
+    def test_nonfinite_estimator_constant_is_usage_error(self, command, constant, capsys):
+        # as a wrong count of constants is
+        label = f"t-linear:{constant},1,1,1"
+        argv = [command, "--pop", "fixtures/sixunit.csv", "--n", "2", "--n1", "4",
+                "--estimator", label]
+        argv += {"estimate": ["--seed", "1"], "simulate": ["--reps", "5", "--seed", "1"],
+                 "enumerate": []}[command]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage: corr2phase {command}")
+        assert err.splitlines()[-1] == (
+            f"corr2phase {command}: error: argument --estimator: "
+            f"bad constant in {label!r}: constants must be finite"
+        )
 
     def test_rep_beyond_stream_is_data_error(self, capsys):
         # estimate names its own argument at both ends of the stream

@@ -32,6 +32,7 @@ from corr2phase.montecarlo import (
     _sum,
     analytic_variance_for,
 )
+from oracles import exact_total
 
 # Frozen values from the exact-rational enumeration oracle for the
 # six-unit population under the N=6, n1=4, n=3 design (60 pairs).
@@ -399,15 +400,17 @@ class TestEnumerationBlocks:
         assert len(blocks) == len(LABELS) * math.comb(design.N, design.n1)
 
     @pytest.mark.parametrize(
-        "frame, design, pairs",
+        "frame, design, pairs, chunk",
         [
-            (TIES, c2p.DesignSpec(8, 5, 3), 7),  # C(5, 3) = 10 > 7: slices of one set
-            (TIES, c2p.DesignSpec(8, 5, 3), 25),  # two whole sets per block
-            (c2p.random_population(9, 9), c2p.DesignSpec(9, 7, 4), 16),  # C(7, 4) = 35
+            (TIES, c2p.DesignSpec(8, 5, 3), 7, None),  # C(5, 3) = 10 > 7: slices of one set
+            (TIES, c2p.DesignSpec(8, 5, 3), 25, None),  # two whole sets per block
+            (c2p.random_population(9, 9), c2p.DesignSpec(9, 7, 4), 16, None),  # C(7, 4) = 35
+            # chunks of three first-phase sets, each reading the patterns anew
+            (c2p.random_population(9, 9), c2p.DesignSpec(9, 7, 4), 16, 3),
         ],
-        ids=["ties-slices", "ties-sets", "random-slices"],
+        ids=["ties-slices", "ties-sets", "random-slices", "random-slices-chunks"],
     )
-    def test_blocks_stay_within_the_budget(self, monkeypatch, frame, design, pairs):
+    def test_blocks_stay_within_the_budget(self, monkeypatch, frame, design, pairs, chunk):
         runs = [(label, budget) for label in LABELS for budget in (0.01, 1.0)]
         want = [
             _outcome_and_message(c2p.enumerate_exact, frame, design, label, 4_000_000, budget)
@@ -436,6 +439,8 @@ class TestEnumerationBlocks:
         monkeypatch.setattr(_kernels, "PAIR_BLOCK", pairs)
         monkeypatch.setattr(_kernels, "pair_rows", recording_pair_rows)
         monkeypatch.setattr(_kernels, "subset_ranker", recording_ranker)
+        if chunk is not None:
+            monkeypatch.setattr(_kernels, "chunk_rows", lambda width: chunk)
         for (label, budget), expect in zip(runs, want):
             shapes.clear()
             slices.clear()
@@ -453,6 +458,10 @@ class TestEnumerationBlocks:
             assert list(slices) == first_sets
             for seen in slices.values():
                 assert np.array_equal(np.concatenate(seen), patterns)
+                # and no array holds more patterns than one block's
+                for some in seen:
+                    held = some if some.base is None else some.base
+                    assert held.size <= min(k2, pairs) * design.n
 
 
 class TestSimulationChunks:
@@ -741,9 +750,52 @@ def _finite_terms(draw):
     return terms
 
 
+@st.composite
+def _extraction_terms(draw):
+    """Arrays of 1 to 2**16 terms over a binade span of up to 2,000, with
+    subnormals, signed zeros, mixed signs, terms near MAX and, sometimes,
+    inf or NaN."""
+    n = draw(st.integers(1, 1 << 16))
+    lo = draw(st.integers(-1130, 1024))
+    hi = min(lo + draw(st.integers(0, 2000)), 1024)
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    terms = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lo, hi + 1, n))
+    terms[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))] *= -1.0
+    edges = draw(st.lists(
+        st.sampled_from([MAX, -MAX, 2.0**1023, 2.0**1008, 0.0, -0.0, 5e-324, -5e-324,
+                         2.0**-1022, math.inf, -math.inf, math.nan]),
+        max_size=4,
+    ))
+    at = rng.integers(0, n, len(edges))
+    terms[at] = edges
+    return terms
+
+
 class TestExactSum:
     """_sum is correctly rounded, so it equals math.fsum bit for bit
     wherever fsum gives an answer."""
+
+    @given(terms=_extraction_terms())
+    @settings(max_examples=120, deadline=None)
+    def test_extraction_equals_the_exponent_bins(self, terms):
+        assert montecarlo._exact_total(terms) == exact_total(terms)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 1000, 1 << 16])
+    def test_extraction_at_the_scaling_limit(self, n):
+        # below 2**(1022 - ceil(log2 n)) terms are extracted as they are,
+        # from there on scaled down first
+        limit = 2.0 ** (1022 - (n - 1).bit_length())
+        rng = np.random.Generator(np.random.PCG64(n))
+        for terms in (
+            np.full(n, limit),
+            np.full(n, np.nextafter(limit, 0)),
+            np.full(n, np.nextafter(2 * limit, 0)),  # sigma + x rounds up at 2**1024
+            np.ldexp(rng.uniform(0.5, 1.0, n), 40),  # partial sums near sigma
+            np.where(rng.random(n) < 0.5, limit, -np.nextafter(limit, 0)),
+            np.where(rng.random(n) < 0.5, MAX, 5e-324),
+            np.where(rng.random(n) < 0.5, -MAX, rng.standard_normal(n)),
+        ):
+            assert montecarlo._exact_total(terms) == exact_total(terms)
 
     @given(terms=_finite_terms())
     @settings(max_examples=150, deadline=None)
