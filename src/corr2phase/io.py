@@ -1,10 +1,14 @@
 """File formats and report rendering.
 
 Population CSV: header exactly `y,x,z`, then one row of three numbers
-per unit. Parameter JSON: one flat object whose keys moments_from_params
-understands. Reports: JSON with schema 1, keys sorted, floats rounded
-to 12 significant digits, non-finite numbers rendered as null; byte
-stability of a report given identical inputs is part of the contract.
+per unit. A line-by-line reader (csv + float()) defines the format and
+locates errors; a block kernel reads the same files to the same float64
+bits in a few numpy passes per field, and hands anything it cannot read
+with certainty to that reader. Parameter JSON: one flat object whose
+keys moments_from_params understands. Reports: JSON with schema 1, keys
+sorted, floats rounded to 12 significant digits, non-finite numbers
+rendered as null; byte stability of a report given identical inputs is
+part of the contract.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import csv
 import json
 import math
 import os
-import stat
-import warnings
+import sys
 from dataclasses import asdict
+from io import BytesIO, TextIOWrapper
 from typing import Mapping
 
 import numpy as np
@@ -33,92 +37,307 @@ def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-# ASCII file, group, record and unit separators: np.loadtxt strips them
-# from a field as whitespace, float() rejects them.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# Bytes read and parsed at a time. Each block is cut after its last line
+# end and the rest carried into the next; a line longer than a block
+# goes to the line reader. Beyond a full block the buffer has room for
+# the line end a file may lack and for the 8-byte words read from any
+# digit run, up to 24 bytes past its start.
+_BLOCK = 1 << 17
+_PAD = 32
+# Files shorter than this go straight to the line reader: on about 60
+# rows or fewer it costs less than the kernel's hundred-odd numpy calls.
+_SMALL_FILE = 1 << 12
 
-# Suffixes on which numpy's file opener decompresses the file it names
-# (np.lib._datasource._file_openers), here in lower case.
-_COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
+# 10**k: exact as float64 for k <= 22 (Clinger's fast path), as uint64
+# for k <= 19.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_U64 = np.array([10**k for k in range(20)], np.uint64)
+
+# For chunk c of a run of n <= 24 digits, k = min(max(n - 8c, 0), 8) of
+# its digits are in the 8-byte word at offset 8c: the left shift that
+# keeps just them (64 clears the word), and 10**k.
+_k = np.clip(np.arange(25) - 8 * np.arange(3)[:, None], 0, 8)
+_CHUNK_SHIFT = (64 - 8 * _k).astype(np.uint64)
+_CHUNK_SCALE = (10**_k).astype(np.uint64)
+del _k
 
 
-def _plain_text(fh, limit: int) -> bool:
-    """Whether fh has no ASCII separator and no line longer than limit.
+def _exact_long_double_powers() -> np.ndarray | None:
+    """The powers of ten exact in np.longdouble, or None if it cannot round once.
 
-    Blocks of at most limit characters leave only the line open across
-    blocks to count. Text that is not UTF-8 raises UnicodeDecodeError.
+    Only an x87 extended (64-bit significand) or IEEE quad (113-bit)
+    long double stored in 16 little-endian bytes qualifies, and only if
+    its arithmetic keeps 64 bits (the probe). 10**k is exact while 5**k
+    fits in the significand.
     """
-    size = max(1, min(1 << 16, limit))
-    open_line = 0
-    while block := fh.read(size):
-        if any(ch in block for ch in _SEPARATORS):
-            return False
-        ends = block.replace("\r", "\n")
-        first = ends.find("\n")
-        if open_line + (len(block) if first < 0 else first) > limit:
-            return False
-        open_line = open_line + len(block) if first < 0 else len(block) - 1 - ends.rfind("\n")
-    return True
+    info = np.finfo(np.longdouble)
+    big = np.longdouble(2**63)
+    if (info.nmant not in (63, 112) or info.dtype.itemsize != 16
+            or sys.byteorder != "little" or (big + 1) - big != 1):
+        return None
+    powers = [np.longdouble(1)]
+    while 5 ** len(powers) < 2 ** (info.nmant + 1):
+        powers.append(powers[-1] * 10)
+    return np.array(powers)
 
 
-def _regular_file(path: str | os.PathLike) -> bool:
-    # a pipe or a device may not give its text a second time, so only a
-    # regular file may be read by both parsers
+_WIDE_POW10 = _exact_long_double_powers()
+# The low significand bits a long double drops on rounding to float64,
+# and their pattern when it lies exactly halfway between two doubles: 11
+# or 60 bits, within its low 8 bytes.
+_DROPPED = (1 << np.finfo(np.longdouble).nmant - 52) - 1
+_HALFWAY = (_DROPPED + 1) >> 1
+
+
+def _digits(words: np.ndarray, at: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The count-digit numbers at byte offsets at, as uint64 (count <= 19).
+
+    Eight digits at a time are one little-endian word, shifted so that
+    the bytes beyond the count fall out and zero bytes stand before the
+    digits, then combined pairwise (8 -> 4 -> 2 -> 1 numbers).
+    """
+    value = np.zeros(len(at), np.uint64)
+    for chunk in range((int(count.max(initial=0)) + 7) // 8):
+        w = words[at + 8 * chunk] << _CHUNK_SHIFT[chunk][count]
+        w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+        w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
+        w = (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+        value = value * _CHUNK_SCALE[chunk][count] + w
+    return value
+
+
+def _scale(mant: np.ndarray, q: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """mant * 10**q rounded once, given powers[k] = 10**k exactly; mant is overwritten."""
+    p = powers[np.abs(q)]
+    np.divide(mant, p, out=mant, where=q < 0)
+    np.multiply(mant, p, out=mant, where=q > 0)
+    return mant
+
+
+def _field_values(buf: np.ndarray, words: np.ndarray, tok: np.ndarray, byte: np.ndarray,
+                  start: np.ndarray, end: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray | None:
+    """The float64 values of the fields buf[start:end], or None if float() rejects one.
+
+    tok holds the offsets of the non-digit bytes of buf in order, byte
+    their values; a field's own are tok[lo:hi], and tok[hi] is the
+    separator after it (lo and hi are overwritten). A field of the form
+    [+-]digits[.digits][(e|E)[+-]digits], with spaces or tabs around it
+    and at most 19 mantissa digits, is M * 10**q with M those digits read
+    as one integer. It is rounded once in float64 when M <= 2**53 and
+    |q| <= 22 (Clinger), else once in a long double with a 64-bit or
+    wider significand, then to float64: the correctly rounded value
+    unless the long double lies halfway between two doubles. Halfway
+    values, all other fields, and wide mantissas where there is no such
+    long double go to float().
+    """
+    s, e = start, end
+    blank = (byte == 32) | (byte == 9)
+    if blank.any():
+        s, e = start.copy(), end.copy()
+        idx = np.flatnonzero(blank[lo])
+        while idx.size:
+            t = lo[idx]
+            idx = idx[(t < hi[idx]) & (tok[t] == s[idx]) & blank[t]]
+            s[idx] += 1
+            lo[idx] += 1
+        idx = np.flatnonzero(blank[hi - 1])
+        while idx.size:
+            t = hi[idx] - 1
+            idx = idx[(t >= lo[idx]) & (tok[t] == e[idx] - 1) & blank[t]]
+            e[idx] -= 1
+            hi[idx] -= 1
+    # tok[hi] is now at e and is no digit, dot, e, E or sign
+    sign = (byte == 43) | (byte == 45)
+    neg = None
+    if sign.any():
+        signed = sign[lo] & (tok[lo] == s)
+        neg = signed & (byte[lo] == 45)
+        s = s + signed
+        lo = lo + signed
+    # then digits, a dot, digits, an e or E, a sign right after it, digits
+    point = tok[lo]
+    dot = byte[lo] == 46
+    k = lo + dot
+    n_int = point - s
+    n_frac = tok[k] - point - dot
+    q = -n_frac
+    exp = (byte | 32) == 101
+    if exp.any():
+        has_e = exp[k]
+        epos = tok[k]
+        k = k + has_e
+        exp_signed = has_e & sign[k] & (tok[k] == epos + 1)
+        exp_neg = exp_signed & (byte[k] == 45)
+        k = k + exp_signed
+        n_exp = (e - epos - 1 - exp_signed) * has_e
+        fits = (k == hi) & (n_exp >= has_e) & (n_exp <= 8)
+        x = _digits(words, epos + 1 + exp_signed, n_exp * fits).astype(np.int64)
+        q += x - 2 * x * exp_neg
+    else:
+        fits = k == hi
+    fits &= (n_int >= 1) & (n_frac >= dot) & (n_int + n_frac <= 19)
+    n_frac *= fits
+    mant = (_digits(words, s, n_int * fits) * _POW10_U64[n_frac]
+            + _digits(words, point + 1, n_frac))
+
+    values = np.empty(len(start))
+    done = fits & (mant <= 2**53) & (q >= -22) & (q <= 22)
+    fast = np.flatnonzero(done)
+    values[fast] = _scale(mant[fast].astype(np.float64), q[fast], _POW10)
+    if _WIDE_POW10 is not None:
+        wide = np.flatnonzero(fits & ~done & (np.abs(q) < len(_WIDE_POW10)))
+        exact = _scale(mant[wide].astype(np.longdouble), q[wide], _WIDE_POW10)
+        values[wide] = exact
+        done[wide] = exact.view(np.uint64)[::2] & _DROPPED != _HALFWAY
+    if neg is not None:
+        np.negative(values, out=values, where=neg)
+    for i in np.flatnonzero(~done).tolist():
+        try:
+            values[i] = float(buf[start[i]:end[i]].tobytes().decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is a ValueError
+            return None
+    return values
+
+
+def _read_block(fh, view: memoryview, held: int) -> int:
+    """Fill view[held:_BLOCK] from fh as far as it goes; the bytes now held."""
+    while held < _BLOCK:
+        got = fh.readinto(view[held:_BLOCK])
+        if not got:
+            break
+        held += got
+    return held
+
+
+def _header_ok(raw: bytes, limit: int) -> bool:
+    # what _parse_by_line accepts from an unquoted first line
     try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except (OSError, ValueError):
+        names = raw.decode("utf-8").split(",")
+    except UnicodeDecodeError:
         return False
+    return max(map(len, names)) <= limit and [h.strip() for h in names] == ["y", "x", "z"]
 
 
-def _parse_vectorized(path: str | os.PathLike) -> tuple[np.ndarray, ...] | None:
-    """The y, x and z columns of a plain population file, or None.
+def _three_fields(line_end: np.ndarray) -> bool:
+    # whether separators that end lines (True) and commas come as , , end
+    return len(line_end) % 3 == 0 and bool(
+        (line_end.reshape(-1, 3) == (False, False, True)).all())
 
-    One checking pass, then np.loadtxt reads the file in blocks from its
-    absolute name, which numpy never takes for a URL; os.path.abspath
-    would also drop a ".." after a symbolic link and name another file.
-    It returns None, so that _parse_by_line decides, whenever the file
-    may need anything beyond unquoted comma-separated numbers: a name
-    numpy would decompress, a header other than y,x,z (a quoted one
-    included), an ASCII separator character anywhere, a line longer than
-    the csv field limit, text that is not UTF-8, a field numpy cannot
-    read (quotes, underscores, non-ASCII digits, an empty or
-    whitespace-only field), no data rows (loadtxt warns) or rows that
-    are not three wide. What it does accept, _parse_by_line reads to the
-    same float64 values.
+
+def _block_values(buf: np.ndarray, words: np.ndarray, tok: np.ndarray, byte: np.ndarray,
+                  line_end: np.ndarray, first: int, start: int, cut: int,
+                  limit: int) -> np.ndarray | None:
+    """The values of the lines from buf[start] to tok[cut], a line end, row by row.
+
+    tok[first:cut + 1] are their non-digit bytes. None if a line other
+    than an empty one does not hold three fields, if a field is longer
+    than limit, or if _field_values declines one.
     """
-    name = os.fsdecode(path)
-    if not os.path.isabs(name):
-        name = os.path.join(os.getcwd(), name)
-    if os.path.splitext(name)[1].lower() in _COMPRESSED:
+    sep = np.flatnonzero(line_end[first:cut + 1] | (byte[first:cut + 1] == 44)) + first
+    if not sep.size:
+        return np.empty(0)
+    at, le = tok[sep], line_end[sep]
+    begin = np.concatenate(([start], at[:-1] + 1))
+    lo = np.concatenate(([first], sep[:-1] + 1))
+    if not _three_fields(le):
+        keep = (begin != at) | ~le | ~np.concatenate(([True], le[:-1]))
+        sep, at, le, begin, lo = sep[keep], at[keep], le[keep], begin[keep], lo[keep]
+        if not _three_fields(le):
+            return None
+    if (at - begin > limit).any():
         return None
-    try:
-        with open(name, newline="", encoding="utf-8") as fh:
-            if not _plain_text(fh, csv.field_size_limit()):
-                return None
-            fh.seek(0)
-            if [h.strip() for h in fh.readline().split(",")] != ["y", "x", "z"]:
-                return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(name, delimiter=",", comments=None, dtype=np.float64,
-                               ndmin=2, skiprows=1, encoding="utf-8")
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-        return None
-    return tuple(table.T) if table.shape[1] == 3 else None
+    return _field_values(buf, words, tok, byte, begin, at, lo, sep)
 
 
-def _parse_by_line(path: str | os.PathLike) -> tuple[np.ndarray, ...]:
+def _parse_vectorized(fh) -> tuple[np.ndarray, ...] | None:
+    """The y, x and z columns of a population file, or None.
+
+    fh is a seekable binary handle, read from its start in blocks of
+    _BLOCK bytes. Fields are split at commas and at LF, CR or CRLF line
+    ends, empty lines are skipped, and _field_values converts the fields
+    of each block straight into contiguous columns. It returns None, so
+    that _parse_by_line decides, whenever a field is one that float()
+    rejects (a quote, an empty or whitespace-only field, text that is not
+    UTF-8), a field is longer than csv.field_size_limit(), a line is
+    longer than a block, the first line is not an unquoted y,x,z header,
+    a line does not hold three fields or there is no data row. What it
+    does accept, _parse_by_line reads to the same float64 values.
+    """
+    limit = csv.field_size_limit()
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    buf = np.zeros(_BLOCK + _PAD, np.uint8)
+    view = memoryview(buf)
+    words = np.ndarray((_BLOCK + _PAD - 7,), "<u8", buf, strides=(1,))
+    nondigit = np.empty(_BLOCK + 1, np.bool_)
+    columns = [np.empty(0) for _ in range(3)]
+    header = True
+    rows = held = 0
+    while True:
+        end = _read_block(fh, view, held)
+        last = end < _BLOCK
+        if last and (end == 0 or buf[end - 1] not in (10, 13)):
+            buf[end] = 10  # the line end the file lacks
+            end += 1
+        digit = nondigit[:end].view(np.uint8)  # the byte's digit value, if below 10
+        np.subtract(buf[:end], 48, out=digit)
+        np.greater(digit, 9, out=nondigit[:end])
+        tok = np.flatnonzero(nondigit[:end])
+        byte = buf[tok]
+        line_end = (byte == 10) | (byte == 13)
+        if not line_end.any():
+            return None  # a line longer than a block
+        cut = len(tok) - 1 - int(line_end[::-1].argmax())
+        first = start = 0
+        if header:
+            first = int(line_end.argmax()) + 1
+            start = tok[first - 1] + 1
+            if not _header_ok(buf[:start - 1].tobytes(), limit):
+                return None
+            header = False
+        values = _block_values(buf, words, tok, byte, line_end, first, start, cut, limit)
+        if values is None:
+            return None
+        new = len(values) // 3
+        stop = tok[cut] + 1
+        if rows + new > len(columns[0]):
+            # the rows still unread at this block's bytes per row, and 1/16 more
+            room = rows + new + new * max(size - fh.tell(), 0) * 17 // (stop * 16) + 1
+            for col in columns:
+                col.resize(room, refcheck=False)
+        for j, col in enumerate(columns):
+            col[rows:rows + new] = values[j::3]
+        rows += new
+        if last:
+            break
+        held = end - stop
+        buf[:held] = buf[stop:end]
+    if not rows:
+        return None
+    for col in columns:
+        col.resize(rows, refcheck=False)
+    return tuple(columns)
+
+
+def _parse_by_line(path: str | os.PathLike, fh=None) -> tuple[np.ndarray, ...]:
     """The y, x and z columns of a population file, read line by line.
 
     This reader defines the accepted format and reports the line of the
     first problem. Text that is not UTF-8 and fields longer than the csv
-    module's limit are ParseErrors like any other malformed content.
+    module's limit are ParseErrors like any other malformed content. It
+    reads fh, a binary handle at the start of the file, if given, and
+    names path in its messages.
     """
+    if fh is None:
+        with open(path, "rb") as fh:
+            return _parse_by_line(path, fh)
     ys: list[float] = []
     xs: list[float] = []
     zs: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    text = TextIOWrapper(fh, encoding="utf-8", newline="")
+    try:
+        reader = csv.reader(text)
         try:
             header = next(reader, None)
             if header is None:
@@ -149,6 +368,8 @@ def _parse_by_line(path: str | os.PathLike) -> tuple[np.ndarray, ...]:
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    finally:
+        text.detach()  # leave fh open for its owner
     return np.asarray(ys), np.asarray(xs), np.asarray(zs)
 
 
@@ -163,16 +384,24 @@ def load_population_csv(path: str | os.PathLike) -> PopulationFrame:
     longer than csv.field_size_limit() are ParseErrors like any other
     malformed content.
 
-    A plain regular file is read by np.loadtxt in blocks after one
-    checking pass. Anything that path cannot read with certainty
-    (compressed-looking names, quotes, underscores or non-ASCII digits
-    in numbers, whitespace-only lines, errors of any kind) goes to the
-    line-by-line reader, which yields the same values or the located
-    error.
+    The file is opened once. Unless it is shorter than _SMALL_FILE,
+    _parse_vectorized reads it in blocks and converts every field of the
+    form [+-]digits[.digits][(e|E)[+-]digits] (spaces or tabs around it
+    allowed) exactly, handing the others to float(). Anything it does
+    not accept with certainty (quotes, fields float() rejects,
+    whitespace-only lines, overlong fields or lines) sends the file,
+    from the bytes already read, to the line-by-line reader, which
+    yields the same values or the located error. A pipe is read into
+    memory first, so it takes the same route.
     """
-    columns = _parse_vectorized(path) if _regular_file(path) else None
-    if columns is None:
-        columns = _parse_by_line(path)
+    with open(path, "rb") as raw:
+        fh = raw if raw.seekable() else BytesIO(raw.read())
+        columns = None
+        if fh.seek(0, os.SEEK_END) >= _SMALL_FILE:
+            columns = _parse_vectorized(fh)
+        if columns is None:
+            fh.seek(0)
+            columns = _parse_by_line(path, fh)
     y, x, z = columns
     return PopulationFrame(y=y, x=x, z=z)
 

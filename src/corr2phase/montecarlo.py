@@ -453,7 +453,8 @@ def enumerate_exact(
     call holds that table, one chunk of sets, one slice of patterns and
     one block, whatever the number of pairs, and the result equals
     stats_rows over every pair's index rows in C order, whatever the
-    block and chunk sizes.
+    block and chunk sizes. A pair count above cap, or a table that does
+    not fit in memory, raises TooManySamples.
     """
     spec = _as_spec(estimator)
     if design.N != frame.N:
@@ -474,10 +475,15 @@ def enumerate_exact(
     # one's statistics once, in itertools order, into one table found by rank
     subsets = itertools.combinations(range(design.N), design.n)
     count = math.comb(design.N, design.n)
-    second = _kernels.SecondPhase._make(
-        np.empty(count, np.uint8 if field == "flags" else np.float64)
-        for field in _kernels.SecondPhase._fields
-    )
+    try:
+        second = _kernels.SecondPhase._make(
+            np.empty(count, np.uint8 if field == "flags" else np.float64)
+            for field in _kernels.SecondPhase._fields
+        )
+    except (ValueError, MemoryError):
+        raise TooManySamples(
+            f"the {_count_text(count)} second-phase sets do not fit in memory"
+        ) from None
     step = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n)
     for lo in range(0, count, step):
         part = _kernels.second_phase_rows(

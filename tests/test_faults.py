@@ -1,4 +1,4 @@
-"""tools/faults.py: milliseconds and minor faults per library call."""
+"""tools/faults.py: milliseconds, minor faults and peak RSS per library call."""
 
 import importlib.util
 import json
@@ -14,7 +14,7 @@ def test_smoke_sizes_print_one_result_per_workload(capsys):
     faults.main(["--smoke"])
     lines = capsys.readouterr().out.splitlines()
     results = [json.loads(line) for line in lines]
-    assert [r["workload"] for r in results] == ["sim-bigframe", "enum-exact"]
+    assert [r["workload"] for r in results] == ["sim-bigframe", "enum-exact", "theory-csv"]
     for r in results:
         assert r["ms"] > 0 and r["minor_faults"] >= 0
         assert r["peak_rss_mb"] > 0

@@ -4,12 +4,15 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import urllib.request
 import warnings
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,7 +100,7 @@ class TestPopulationCsv:
 
 # Characters (and words) the differential test builds CSV text from:
 # every separator, line end, whitespace, quote, sign, exponent and digit
-# spelling on which np.loadtxt and csv + float() might disagree.
+# spelling on which the block kernel and csv + float() might disagree.
 CSV_ALPHABET = list(
     "0123456789,\n\r \t\x0b\x0c\x1c\u2028\xa0\"_.e+-#\u0661\x00"
 ) + ["nan", "inf"]
@@ -149,6 +152,12 @@ def load_by_line(path):
     return c2p.PopulationFrame(y=y, x=x, z=z)
 
 
+def vectorized(path):
+    """What the block kernel makes of a file: its columns, or None."""
+    with open(path, "rb") as fh:
+        return io._parse_vectorized(fh)
+
+
 class TestVectorizedParse:
     """The vectorized pass agrees with the line-by-line reader, its specification."""
 
@@ -157,17 +166,18 @@ class TestVectorizedParse:
     def test_agrees_with_line_reader(self, text, suffix, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / f"differential{suffix}"
         path.write_bytes(text.encode("utf-8"))
-        fast = io._parse_vectorized(path)
+        fast = vectorized(path)
         if fast is not None:
             spec = io._parse_by_line(path)
             for got, want in zip(fast, spec):
                 assert got.dtype == want.dtype == np.float64
                 assert np.array_equal(got, want, equal_nan=True)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
+        with mock.patch.object(io, "_SMALL_FILE", 0):  # so that small files take the kernel
+            assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
 
     @pytest.mark.parametrize(
-        "name, text, vectorized",
+        "name, text, kernel",
         [
             ("crlf", "y,x,z\r\n1,2,1\r\n2,1,3\r\n3,4,2\r\n4,3,5\r\n", True),
             ("lone_cr", "y,x,z\r1,2,1\r2,1,3\r3,4,2\r4,3,5\r", True),
@@ -175,10 +185,10 @@ class TestVectorizedParse:
             ("whitespace_line", "y,x,z\n1,2,1\n \n2,1,3\n3,4,2\n4,3,5\n", False),
         ],
     )
-    def test_line_ends_and_quotes(self, tmp_path, name, text, vectorized):
+    def test_line_ends_and_quotes(self, tmp_path, name, text, kernel):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert (io._parse_vectorized(path) is not None) == vectorized
+        assert (vectorized(path) is not None) == kernel
         frame = io.load_population_csv(path)
         assert frame.y.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert frame.x.tolist() == [2.0, 1.0, 4.0, 3.0]
@@ -188,7 +198,7 @@ class TestVectorizedParse:
         "name, text, error, message",
         [
             ("header_only", "y,x,z\n", c2p.InvalidParameter, "at least 4 units, got 0"),
-            # float() does not strip ASCII separators; np.loadtxt would
+            # float() does not strip ASCII separators
             ("separator", "y,x,z\n1\x1c,2,1\n2,1,3\n3,4,2\n4,3,5\n", ParseError,
              "separator.csv:2: non-numeric value"),
             ("long_header", "y" + " " * 131073 + ",x,z\n1,2,1\n2,1,3\n3,4,2\n4,3,5\n",
@@ -200,7 +210,7 @@ class TestVectorizedParse:
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert io._parse_vectorized(path) is None
+            assert vectorized(path) is None
             with pytest.raises(error, match=message):
                 io.load_population_csv(path)
         assert caught == []
@@ -218,12 +228,33 @@ class TestVectorizedParse:
         assert np.array_equal(frame.y, six_frame.y)
         assert np.array_equal(frame.z, six_frame.z)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_takes_the_kernel(self, tmp_path, monkeypatch):
+        frame = c2p.synthetic_population(300, 4)
+        text = "y,x,z\n" + "".join(f"{y!r},{x!r},{z!r}\n" for y, x, z in zip(
+            frame.y.tolist(), frame.x.tolist(), frame.z.tolist()))
+        assert len(text) > io._SMALL_FILE
+        monkeypatch.setattr(io, "_parse_by_line", None)  # only the kernel can read it
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            got = io.load_population_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        for col, want in zip((got.y, got.x, got.z), (frame.y, frame.x, frame.z)):
+            assert col.tobytes() == want.tobytes()
+
+    def test_small_files_go_to_the_line_reader(self, six_csv_path, six_frame, monkeypatch):
+        assert os.path.getsize(six_csv_path) < io._SMALL_FILE
+        monkeypatch.setattr(io, "_parse_vectorized", None)
+        assert io.load_population_csv(six_csv_path).x.tobytes() == six_frame.x.tobytes()
+
     @pytest.mark.parametrize("name", ["pop.gz", "pop.GZ", "pop.csv.bz2", "pop.xz", "pop.lzma"])
     def test_compressed_names_go_to_the_line_reader(self, six_csv_path, tmp_path, name):
-        # numpy would decompress a file so named; this one holds plain text
+        # a decompressing reader would take this file for compressed; it holds plain text
         path = tmp_path / name
         path.write_bytes(Path(six_csv_path).read_bytes())
-        assert io._parse_vectorized(path) is None
         assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
         assert load_outcome(io.load_population_csv, path) == load_outcome(
             io.load_population_csv, six_csv_path)
@@ -233,13 +264,6 @@ class TestVectorizedParse:
         path.write_bytes(gzip.compress(Path(six_csv_path).read_bytes()))
         with pytest.raises(ParseError, match="pop.csv.gz: not UTF-8 text"):
             io.load_population_csv(path)
-
-    def test_compressed_suffixes_cover_numpy_openers(self):
-        # The opener table is private to numpy, but it decides which names
-        # np.loadtxt decompresses, so a suffix added there must be added
-        # to io._COMPRESSED too.
-        openers = np.lib._datasource._file_openers
-        assert {ext.lower() for ext in openers.keys() if ext} <= io._COMPRESSED
 
     def test_url_like_name_is_read_locally(self, six_csv_path, tmp_path, monkeypatch):
         def no_network(*args, **kwargs):
@@ -253,7 +277,7 @@ class TestVectorizedParse:
         (tmp_path / "host").mkdir()
         (tmp_path / "host" / "pop.csv").write_text("y,x,z\n9,9,9\n8,8,8\n7,7,7\n6,6,6\n")
         name = "http://host/pop.csv"
-        fast = io._parse_vectorized(name)
+        fast = vectorized(name)
         assert fast is not None
         for got, want in zip(fast, io._parse_by_line(name)):
             assert got.tobytes() == want.tobytes()
@@ -269,19 +293,12 @@ class TestVectorizedParse:
         # what os.path.abspath("link/../pop.csv") names
         (tmp_path / "pop.csv").write_text("y,x,z\n9,9,9\n8,8,8\n7,7,7\n6,6,6\n")
         name = "link/../pop.csv"
-        fast = io._parse_vectorized(name)
+        fast = vectorized(name)
         assert fast is not None
         for got, want in zip(fast, io._parse_by_line(name)):
             assert got.tobytes() == want.tobytes()
         assert load_outcome(io.load_population_csv, name) == load_outcome(
             io.load_population_csv, six_csv_path)
-
-    @given(text=st.text(st.sampled_from("ab\r\n\x1c"), max_size=40), limit=st.integers(0, 9))
-    @settings(max_examples=200, deadline=None)
-    def test_plain_text_pass(self, text, limit):
-        lines = re.split("\r\n|\r|\n", text)
-        want = "\x1c" not in text and max(map(len, lines)) <= limit
-        assert io._plain_text(StringIO(text, newline=""), limit) == want
 
     def test_generated_population_bit_identical(self, tmp_path):
         frame = c2p.synthetic_population(5000, 3)
@@ -290,16 +307,147 @@ class TestVectorizedParse:
             fh.write("y,x,z\n")
             fh.writelines(f"{y!r},{x!r},{z!r}\n" for y, x, z in zip(
                 frame.y.tolist(), frame.x.tolist(), frame.z.tolist()))
-        fast = io._parse_vectorized(path)
+        fast = vectorized(path)
         assert fast is not None
         for got, want, orig in zip(fast, io._parse_by_line(path), (frame.y, frame.x, frame.z)):
             assert got.tobytes() == want.tobytes() == orig.tobytes()
 
     def test_fixture_bit_identical(self, six_csv_path):
-        fast = io._parse_vectorized(six_csv_path)
+        fast = vectorized(six_csv_path)
         assert fast is not None
         for got, want in zip(fast, io._parse_by_line(six_csv_path)):
             assert got.tobytes() == want.tobytes()
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Bit patterns at the ends of the float64 range: zero, the smallest and
+# largest subnormals, the smallest normal, the largest finite, infinity.
+FLOAT_EDGES = [0, 1, 2**52 - 1, 2**52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000]
+FLOAT_TEXT = st.builds(
+    lambda bits, negative, spell: spell(float_from_bits(bits | negative << 63)),
+    st.integers(0, 2**63 - 1) | st.sampled_from(FLOAT_EDGES),
+    st.integers(0, 1),
+    st.sampled_from([repr, "{:.17g}".format, "{:.18e}".format]),
+)
+
+
+@st.composite
+def digit_text(draw):
+    """1 to 25 digits, the dot anywhere or absent, a sign and an exponent maybe."""
+    zeros = draw(st.sampled_from(["", "0", "000"]))
+    digits = zeros + draw(st.text("0123456789", min_size=1, max_size=25 - len(zeros)))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exp = draw(st.none() | st.integers(-30, 30))
+    if exp is not None:
+        spell = draw(st.sampled_from(["{}", "{:+d}", "{:03d}"]))
+        digits += draw(st.sampled_from("eE")) + spell.format(exp)
+    return draw(st.sampled_from(["", "-", "+"])) + digits
+
+
+# float64 ties: halves above 2**52, and integers from 2**53, the odd ones ties
+TIE_TEXT = st.one_of(
+    st.integers(0, 2**52 - 1).map(lambda j: f"{2**52 + j}.5"),
+    st.builds("{}{}".format, st.integers(2**53, 10**19), st.sampled_from(["", ".0"])),
+)
+PAD = st.sampled_from(["", "", "", " ", "\t", "  "])
+POPULATION_ROW = st.builds(
+    lambda fields, pads, end, blank: ",".join(
+        left + field + right for field, (left, right) in zip(fields, pads)) + end + blank,
+    st.lists(FLOAT_TEXT | digit_text() | TIE_TEXT, min_size=3, max_size=3),
+    st.lists(st.tuples(PAD, PAD), min_size=3, max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "", "", "\n", "\r\n", "\r", "\n\n"]),
+)
+POPULATION_TEXT = st.builds(
+    lambda rows, open_end: "y,x,z\n" + "".join(rows).rstrip("\r\n" if open_end else ""),
+    st.lists(POPULATION_ROW, min_size=1, max_size=30),
+    st.booleans(),
+)
+
+
+class TestDecimalKernel:
+    """The block kernel reads every number float() reads to the same bits."""
+
+    @given(text=POPULATION_TEXT, block=st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_line_reader_bit_for_bit(self, text, block, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "decimal.csv"
+        path.write_bytes(text.encode("ascii"))
+        spec = [col.tobytes() for col in io._parse_by_line(path)]
+        fast = vectorized(path)
+        with mock.patch.object(io, "_WIDE_POW10", None):
+            narrow = vectorized(path)
+        with mock.patch.object(io, "_BLOCK", block):
+            small = vectorized(path)
+        # a block longer than every line holds a line end
+        if block > max(map(len, re.split("\r\n|\r|\n", text))):
+            assert small is not None
+        for got in [fast, narrow] if small is None else [fast, narrow, small]:
+            assert got is not None
+            assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
+            assert [col.tobytes() for col in got] == spec
+        with mock.patch.object(io, "_SMALL_FILE", 0):
+            assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
+
+    @pytest.mark.parametrize("line", [
+        ",1,2,3", "1,2,3,", "1,,3", " ,2,3", "1-2,3,4", "1e5e5,2,3", "1.2.3,2,3",
+        "+-1,2,3", "1e+-5,2,3", "1e5+,2,3", "- 1,2,3", "1e5 5,2,3", "0x10,2,3", "1,2,3\x00",
+        "1 ,2 , 3", "\t-1.5e-3\t,+2.,.5", "\u0661,2,3", "1_000,2,3", "-0,-0.0,+0e9",
+        "inf,2,3", "1e400,1e-400,2", "00000000000000000000000001.5,2,3",
+    ])
+    def test_odd_fields_match_the_line_reader(self, tmp_path, line):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(("y,x,z\n" + line + "\n1,2,1\n2,1,3\n3,4,2\n4,3,5\n").encode())
+        fast = vectorized(path)
+        if fast is not None:
+            assert [col.tobytes() for col in fast] == [
+                col.tobytes() for col in io._parse_by_line(path)]
+        with mock.patch.object(io, "_SMALL_FILE", 0):
+            assert load_outcome(io.load_population_csv, path) == load_outcome(load_by_line, path)
+
+    @pytest.mark.parametrize("scale, power", [(-41, 15), (-84, 28), (-87, 29), (100, -28)])
+    def test_near_ties_round_once(self, tmp_path, scale, power):
+        # Decimals m * 10**-power (m of 19 digits) within half a 64-bit unit
+        # of a float64 tie (2**53 + 2j + 1) * 2**scale: a long double rounds
+        # them onto the tie, float() to the double on their own side. 10**28
+        # and 10**29 are beyond the long double's exact powers.
+        texts = []
+        for j in range(90):
+            tie = (2**53 + 2 * j + 1) * Fraction(2) ** scale
+            m = round(tie * Fraction(10) ** power)
+            assert m != tie * Fraction(10) ** power and len(str(m)) == 19
+            texts.append(f"{m}e{-power}")
+        path = tmp_path / "ties.csv"
+        path.write_text("y,x,z\n" + "".join(
+            ",".join(texts[i:i + 3]) + "\n" for i in range(0, len(texts), 3)))
+        want = np.array([float(t) for t in texts]).reshape(-1, 3).T
+        for got in (vectorized(path), io._parse_by_line(path)):
+            assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+
+    @pytest.mark.parametrize("blocks", [1, 3, 250])
+    def test_lines_across_blocks(self, tmp_path, monkeypatch, blocks):
+        # blocks cut inside fields, numbers and CRLF pairs read as one file
+        frame = c2p.synthetic_population(400, 2)
+        rows = [f"{y!r},{x!r},{z!r}" for y, x, z in zip(
+            frame.y.tolist(), frame.x.tolist(), frame.z.tolist())]
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(("y,x,z\r\n" + "\r\n".join(rows)).encode())
+        monkeypatch.setattr(io, "_BLOCK", path.stat().st_size // blocks + 3)
+        got = vectorized(path)
+        assert [col.tobytes() for col in got] == [
+            col.tobytes() for col in (frame.y, frame.x, frame.z)]
+
+    def test_line_longer_than_a_block_goes_to_the_line_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.csv"
+        path.write_text("y,x,z\n1,2,3\n" + " " * 64 + "4,5,6\n2,1,1\n5,1,2\n")
+        monkeypatch.setattr(io, "_BLOCK", 48)
+        assert vectorized(path) is None
+        assert io.load_population_csv(path).x.tolist() == [2.0, 5.0, 1.0, 1.0]
 
 
 class TestParamsJson:
@@ -919,6 +1067,19 @@ class TestEnumerateCommand:
         )
         assert code == 1
         assert "budget" in err
+
+    def test_second_phase_table_beyond_memory_is_data_error(self, tmp_path, capsys):
+        frame = c2p.synthetic_population(60, 1)
+        path = tmp_path / "pop60.csv"
+        path.write_text("y,x,z\n" + "".join(
+            f"{y!r},{x!r},{z!r}\n"
+            for y, x, z in zip(frame.y.tolist(), frame.x.tolist(), frame.z.tolist())))
+        argv = ["enumerate", "--pop", str(path), "--n1", "30", "--n", "15",
+                "--estimator", "sample-r", "--cap", str(10**30)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the 53194089192720 second-phase sets do not fit in memory\n"
 
     def test_pair_count_too_long_to_print_is_data_error(self, tmp_path):
         # 5415 digits of pairs: past Python's 4300-digit limit for str(int)

@@ -96,6 +96,15 @@ class TestEnumeration:
         with pytest.raises(TooManySamples, match=r"^about 10\^5414\.4 two-phase pairs exceed"):
             c2p.enumerate_exact(frame, design, "sample-r")
 
+    def test_second_phase_table_beyond_memory(self):
+        # 10**30 admits all C(60, 30) * C(30, 15) pairs, but the table of
+        # C(60, 15) second-phase sets would take 387 TiB per float column
+        frame = c2p.synthetic_population(60, 1)
+        design = c2p.DesignSpec(60, 30, 15)
+        with pytest.raises(TooManySamples,
+                           match=r"^the 53194089192720 second-phase sets do not fit in memory$"):
+            c2p.enumerate_exact(frame, design, "sample-r", cap=10**30)
+
     def test_two_point_second_phase_skips_everything(self, six_frame):
         with pytest.raises(AllSamplesDegenerate):
             c2p.enumerate_exact(six_frame, c2p.DesignSpec(6, 4, 2), "td-star:power")
