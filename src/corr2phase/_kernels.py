@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import SKIP_DEGENERATE, SKIP_NONFINITE, SKIP_PLUGIN, InvalidParameter
 
 # Kernel facts recorded by the benchmark (perfbench/worker.py). There is
 # a single numpy implementation, so these are constants.
@@ -93,10 +93,6 @@ SCRATCH_PER_N1 = 32
 # matters: at 16,000 pairs (127,680 B columns) some heap layouts still
 # trimmed and refaulted about 1 MiB per enumerate call.
 PAIR_BLOCK = 12_000
-
-FLAG_DEGENERATE = 1  # a required sample variable is constant
-FLAG_NONFINITE = 2  # a core statistic (r, u, v, w, a) is not finite
-FLAG_SINGULAR = 4  # plug-in optimum constants could not be formed
 
 # Relative tolerance for declaring an optimum-constant denominator
 # singular, and absolute tolerance below which a correlation is treated
@@ -500,9 +496,9 @@ def single_valued(column, index, mean, ss):
 class FirstPhase(NamedTuple):
     """First-phase moments of a batch of index rows, one entry per set.
 
-    The means and variances (divisor n1 - 1) of x and z. flags is
-    FLAG_DEGENERATE where x or z is constant over the set or has no
-    positive variance, else 0.
+    The means and variances (divisor n1 - 1) of x and z. flags is the
+    skip code SKIP_DEGENERATE where x or z is constant over the set or
+    has no positive variance, else 0.
     """
 
     xbar: np.ndarray
@@ -534,7 +530,7 @@ def first_phase_rows(
             moments.append((mean, ss / (n1 - 1.0), single_valued(column, first, mean, ss)))
     (xbar, s2_x, single_x), (zbar, s2_z, single_z) = moments
     flags = np.zeros(first.shape[0], np.uint8)
-    flags[single_x | single_z | (s2_x <= 0.0) | (s2_z <= 0.0)] = FLAG_DEGENERATE
+    flags[single_x | single_z | (s2_x <= 0.0) | (s2_z <= 0.0)] = SKIP_DEGENERATE
     return FirstPhase(xbar, s2_x, zbar, s2_z, flags)
 
 
@@ -543,9 +539,9 @@ class SecondPhase(NamedTuple):
 
     The sample correlation r, the mean and variance (divisor n - 1) of
     x, and the plug-in optimum weights alpha, beta, gamma and delta.
-    flags is FLAG_DEGENERATE where y, x or z is constant over the set,
-    else FLAG_SINGULAR where the plug-in weights cannot be formed, else
-    0.
+    flags is the skip code SKIP_DEGENERATE where y, x or z is constant
+    over the set, else SKIP_PLUGIN where the plug-in weights cannot be
+    formed, else 0.
     """
 
     r: np.ndarray
@@ -604,11 +600,11 @@ def second_phase_rows(
             | ~reduce(np.logical_and, map(np.isfinite, weights))
         )
     flags = np.zeros(second.shape[0], np.uint8)
-    flags[singular] = FLAG_SINGULAR
+    flags[singular] = SKIP_PLUGIN
     degenerate = (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)
     for column, mean, column_ss in zip(columns, means, ss):
         degenerate |= single_valued(column, second, mean, column_ss)
-    flags[degenerate] = FLAG_DEGENERATE
+    flags[degenerate] = SKIP_DEGENERATE
     return SecondPhase(r, xbar, sx2, *weights, flags)
 
 
@@ -617,10 +613,10 @@ class PairStats(NamedTuple):
 
     r, u and v and the plug-in weights alpha, beta, gamma and delta are
     (b, k) arrays; w and a, which depend on the first phase only, are
-    (b, 1) columns. flags is (b, k): 0 or one of FLAG_DEGENERATE,
-    FLAG_NONFINITE, FLAG_SINGULAR. Entries are defined only where their
-    flag allows: nothing under DEGENERATE or NONFINITE, r, u, v, w and a
-    under SINGULAR.
+    (b, 1) columns. flags is (b, k): 0 or the skip code SKIP_DEGENERATE,
+    SKIP_NONFINITE or SKIP_PLUGIN. Entries are defined only where their
+    code allows: nothing under SKIP_DEGENERATE or SKIP_NONFINITE, r, u,
+    v, w and a under SKIP_PLUGIN.
     """
 
     r: np.ndarray
@@ -655,11 +651,12 @@ def pair_rows(
         w = (first.zbar / aux_zbar)[:, None]
         a = (first.s2_z / aux_sz2)[:, None]
     finite = reduce(np.logical_and, map(np.isfinite, (s.r, u, v, w, a)))
-    # later writes win: degenerate before nonfinite before singular
-    flags = s.flags & FLAG_SINGULAR
-    flags[~finite] = FLAG_NONFINITE
-    flags[((first.flags[:, None] | s.flags) & FLAG_DEGENERATE) != 0] = FLAG_DEGENERATE
-    return PairStats(s.r, u, v, w, a, s.alpha, s.beta, s.gamma, s.delta, flags)
+    # degenerate beats nonfinite beats plug-in; later writes win, so the
+    # degenerate mask is read before they overwrite the taken codes
+    degenerate = (s.flags == SKIP_DEGENERATE) | (first.flags == SKIP_DEGENERATE)[:, None]
+    s.flags[~finite] = SKIP_NONFINITE
+    s.flags[degenerate] = SKIP_DEGENERATE
+    return PairStats(s.r, u, v, w, a, s.alpha, s.beta, s.gamma, s.delta, s.flags)
 
 
 def stats_rows(
@@ -676,8 +673,8 @@ def stats_rows(
     """Per-sample statistics for a batch of index draws: the k = 1 case of pair_rows.
 
     Draw t pairs first[t] with second[t], so every field of the result
-    is (M, 1) for M draws. Draws flagged SINGULAR still carry valid r,
-    u, v, w and a. Both phase kernels use work, which may hold the
+    is (M, 1) for M draws. Draws flagged SKIP_PLUGIN still carry valid
+    r, u, v, w and a. Both phase kernels use work, which may hold the
     draw: they write to none of its slots "first" and "second".
     """
     return pair_rows(

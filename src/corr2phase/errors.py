@@ -6,6 +6,8 @@ want to handle differently (for example a degenerate resample inside a
 simulation is skippable, while a malformed input file is not).
 """
 
+from collections import namedtuple
+
 
 class Corr2PhaseError(Exception):
     """Base class for all errors raised by corr2phase."""
@@ -74,3 +76,28 @@ class ParseError(Corr2PhaseError):
 
 class HeaderMismatch(ParseError):
     """A population CSV does not start with the exact header 'y,x,z'."""
+
+
+# Skip codes, one per pair, and the one table that names them: a code's
+# report label, the error estimate() raises for it (None where
+# sample_statistics or estimated_optimum_constants raises first) and its
+# reason. The kernels write codes 1 to 3; the evaluator adds 4, 5 and 2.
+SKIP_OK = 0  # the pair was used
+SKIP_DEGENERATE = 1
+SKIP_NONFINITE = 2
+SKIP_PLUGIN = 3
+SKIP_NONPOSITIVE = 4
+SKIP_DENOMINATOR = 5
+
+Skip = namedtuple("Skip", "label error reason")
+SKIPS = {
+    SKIP_DEGENERATE: Skip("degenerate_sample", None, "a required variable is constant"),
+    SKIP_NONFINITE: Skip("nonfinite_value", NonFiniteEstimate, "the estimate is not finite"),
+    SKIP_PLUGIN: Skip("singular_plugin_constants", None, "plug-in constants cannot be formed"),
+    SKIP_NONPOSITIVE: Skip(
+        "nonpositive_ratio", NonPositiveRatio, "a ratio raised to a power is not positive"
+    ),
+    SKIP_DENOMINATOR: Skip(
+        "singular_denominator", SingularDenominator, "the denominator is not safely positive"
+    ),
+}

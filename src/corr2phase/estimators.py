@@ -29,20 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from ._kernels import (
-    FLAG_DEGENERATE,
-    FLAG_NONFINITE,
-    FLAG_SINGULAR,
-    SINGULAR_RTOL,
-    PairStats,
-)
+from ._kernels import SINGULAR_RTOL, PairStats
 from .errors import (
+    SKIP_DENOMINATOR,
+    SKIP_NONFINITE,
+    SKIP_NONPOSITIVE,
+    SKIP_OK,
+    SKIP_PLUGIN,
+    SKIPS,
     InvalidParameter,
     MissingParameter,
-    NonFiniteEstimate,
-    NonPositiveRatio,
     ParseError,
-    SingularDenominator,
     ZeroMean,
 )
 from .moments import MomentSet
@@ -191,48 +188,22 @@ def optimal_estimator(kind: str, m: MomentSet) -> EstimatorSpec:
     raise InvalidParameter(f"{kind!r} has no free constants to optimize")
 
 
-# Skip codes of the evaluator; 0 means the pair was used.
-SKIP_OK = 0
-SKIP_DEGENERATE = 1
-SKIP_NONFINITE = 2
-SKIP_PLUGIN = 3
-SKIP_NONPOSITIVE = 4
-SKIP_DENOMINATOR = 5
-
-SKIP_LABELS = {
-    SKIP_DEGENERATE: "degenerate_sample",
-    SKIP_NONFINITE: "nonfinite_value",
-    SKIP_PLUGIN: "singular_plugin_constants",
-    SKIP_NONPOSITIVE: "nonpositive_ratio",
-    SKIP_DENOMINATOR: "singular_denominator",
-}
-
-# What estimate() raises for a pair that the evaluator skipped.
-_SKIP_ERRORS = {
-    SKIP_NONPOSITIVE: (NonPositiveRatio, "a ratio raised to a power is not positive"),
-    SKIP_DENOMINATOR: (SingularDenominator, "the denominator is not safely positive"),
-    SKIP_NONFINITE: (NonFiniteEstimate, "the estimate is not finite"),
-}
-
-
 def evaluate_rows(spec: EstimatorSpec, stats: PairStats) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one estimator on pair statistics: the package's one evaluator.
 
     stats holds the columns r, u, v, w, a and the plug-in weights, which
-    only the td-star kinds read, in shapes that broadcast to that of
-    its flags (_kernels.PairStats). simulate and enumerate_exact pass
-    kernel columns, and estimate() is the one-pair case. Returns flat
-    (values, codes) in the C order of the flags; values[t] is meaningful
-    only where codes[t] == SKIP_OK, and is NaN elsewhere.
+    only the td-star kinds read, in shapes that broadcast to that of its
+    skip codes stats.flags (_kernels.PairStats). simulate and
+    enumerate_exact pass kernel columns, and estimate() is the one-pair
+    case. Returns flat (values, codes) in the C order of the flags: codes
+    starts from the flags, with SKIP_PLUGIN cleared for fixed-constant
+    kinds, and values is NaN where codes is not SKIP_OK.
     """
-    flags = stats.flags
-    codes = np.zeros(flags.shape, np.uint8)
-    codes[(flags & FLAG_DEGENERATE) != 0] = SKIP_DEGENERATE
-    codes[(flags & FLAG_NONFINITE) != 0] = SKIP_NONFINITE
+    codes = np.array(stats.flags, np.uint8)
     if spec.needs_plugin:
-        codes[((flags & FLAG_SINGULAR) != 0) & (codes == 0)] = SKIP_PLUGIN
         weights = stats.alpha, stats.beta, stats.gamma, stats.delta
     else:
+        codes[codes == SKIP_PLUGIN] = SKIP_OK
         weights = spec.constants
 
     r = stats.r
@@ -286,17 +257,16 @@ def evaluate_rows(spec: EstimatorSpec, stats: PairStats) -> tuple[np.ndarray, np
 def estimate(spec: EstimatorSpec, stats: SampleStatistics) -> float:
     """Evaluate one estimator on one sample's statistics.
 
-    The one-pair case of evaluate_rows: a sample that simulate skips as
-    nonpositive_ratio, singular_denominator or nonfinite_value makes
-    estimate raise NonPositiveRatio, SingularDenominator or
-    NonFiniteEstimate. Plug-in kinds first form their constants with
-    estimated_optimum_constants and pass on its errors.
+    The one-pair case of evaluate_rows: a skipped pair raises the error
+    that errors.SKIPS names for its code (NonPositiveRatio,
+    SingularDenominator or NonFiniteEstimate). Plug-in kinds first form
+    their constants with estimated_optimum_constants and pass on its errors.
     """
     columns = (stats.r, stats.u, stats.v, stats.w, stats.a)
     columns += estimated_optimum_constants(stats).weights() if spec.needs_plugin else (0.0,) * 4
     one = PairStats(*(np.full((1, 1), c) for c in columns), flags=np.zeros((1, 1), np.uint8))
     values, codes = evaluate_rows(spec, one)
     if codes[0] != SKIP_OK:
-        error, reason = _SKIP_ERRORS[int(codes[0])]
-        raise error(f"{spec.label()}: {reason}")
+        skip = SKIPS[int(codes[0])]
+        raise skip.error(f"{spec.label()}: {skip.reason}")
     return float(values[0])

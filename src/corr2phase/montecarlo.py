@@ -50,6 +50,8 @@ import numpy as np
 
 from . import _kernels, analytics
 from .errors import (
+    SKIP_OK,
+    SKIPS,
     AllSamplesDegenerate,
     Corr2PhaseError,
     ExcessiveSkips,
@@ -58,7 +60,7 @@ from .errors import (
     NonFiniteEstimate,
     TooManySamples,
 )
-from .estimators import SKIP_LABELS, SKIP_OK, EstimatorSpec, evaluate_rows, parse_estimator
+from .estimators import EstimatorSpec, evaluate_rows, parse_estimator
 from .moments import MomentSet, PopulationFrame, population_moments
 from .sampling import DesignSpec, KnownAux
 
@@ -237,7 +239,7 @@ def _sum(terms: np.ndarray) -> float:
 
 # Skip-code counts, and exact totals of the kept values and of their
 # squared errors, of no values at all.
-_NO_TALLY = (np.zeros(max(SKIP_LABELS) + 1, np.int64), 0, 0)
+_NO_TALLY = (np.zeros(max(SKIPS) + 1, np.int64), 0, 0)
 
 
 def _tally(tally, values: np.ndarray, codes: np.ndarray, rho: float):
@@ -274,7 +276,7 @@ def _settle(tally, unit: str):
     counts = counts.tolist()
     k = counts[SKIP_OK]
     total = sum(counts)
-    reasons = {label: counts[code] for code, label in SKIP_LABELS.items() if counts[code]}
+    reasons = {skip.label: counts[code] for code, skip in SKIPS.items() if counts[code]}
     if k == 0:
         raise AllSamplesDegenerate(f"all {total} {unit} were skipped: {reasons}")
     mean = _round_total(kept_total, k, unit) / k

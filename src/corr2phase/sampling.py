@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    SKIP_DEGENERATE,
     DegenerateSample,
     InvalidDesign,
     InvalidParameter,
@@ -190,7 +191,7 @@ def sample_statistics(
 
     Raises DegenerateSample when a variable that the ratios divide by
     is constant or has zero variance: y, x, z within the second phase,
-    or x, z within the first, as the kernels flag FLAG_DEGENERATE;
+    or x, z within the first, which the kernels code SKIP_DEGENERATE;
     SingularDenominator when the first-phase mean of x is zero. Data at
     the edge of float64 fails with InvalidParameter naming the first
     variance or d_pqm that is not finite, as population_moments does.
@@ -203,9 +204,9 @@ def sample_statistics(
     s2_x_first = _finite("sample s2_x_first", float(first.s2_x[0]))
     s2_z_first = _finite("sample s2_z_first", float(first.s2_z[0]))
     second = _kernels.second_phase_rows(frame.y, frame.x, frame.z, sample.second_phase[None])
-    if second.flags[0] == _kernels.FLAG_DEGENERATE:
+    if second.flags[0] == SKIP_DEGENERATE:
         raise DegenerateSample("a second-phase variable is constant in the sample")
-    if first.flags[0] == _kernels.FLAG_DEGENERATE:
+    if first.flags[0] == SKIP_DEGENERATE:
         raise DegenerateSample("a first-phase auxiliary is constant in the sample")
     if first.xbar[0] == 0.0:
         raise SingularDenominator(

@@ -687,8 +687,13 @@ class TestArgumentFuzz:
         frame = c2p.random_population(12, seed=7)
         path = tmp_path_factory.mktemp("fuzz") / "twelve.csv"
         path.write_text("y,x,z\n" + "".join(
-            f"{y!r},{x!r},{z!r}\n" for y, x, z in zip(frame.y, frame.x, frame.z)))
-        return [os.path.join("fixtures", "sixunit.csv"), str(path)]
+            f"{y!r},{x!r},{z!r}\n"
+            for y, x, z in zip(frame.y.tolist(), frame.x.tolist(), frame.z.tolist())))
+        paths = [os.path.join("fixtures", "sixunit.csv"), str(path)]
+        # a population that does not load would stop every command at the CSV
+        for pop in paths:
+            io.load_population_csv(pop)
+        return paths
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import corr2phase as c2p
 from corr2phase import _kernels as K
-from corr2phase.errors import InvalidParameter
+from corr2phase.errors import SKIP_DEGENERATE, SKIP_PLUGIN, InvalidParameter
 from oracles import TRIPLES, constant_rows, delta_table, draw_pair, mpf_frac, mu
 
 # Frozen splitmix64 finalizer vectors from tests/oracles.py.
@@ -237,7 +237,7 @@ class TestStatsRows:
             y, x, z, np.array([[0, 1, 2, 3]]), np.array([[0, 1, 2]]),
             23.0 / 6.0, 37.0 / 6.0,
         )
-        assert stats.flags[0, 0] == K.FLAG_DEGENERATE
+        assert stats.flags[0, 0] == SKIP_DEGENERATE
         assert np.isnan(stats.r[0, 0])
 
     def test_constant_off_its_rounded_mean_flagged_degenerate(self):
@@ -248,11 +248,11 @@ class TestStatsRows:
         sets = np.array([[0, 1, 2], [0, 1, 3]])
         for x, z in ((v, other), (other, v)):
             flags = K.first_phase_rows(x, z, sets).flags
-            assert flags.tolist() == [K.FLAG_DEGENERATE, 0]
+            assert flags.tolist() == [SKIP_DEGENERATE, 0]
         for y, x, z in ((v, other, other), (other, v, other), (other, other, v)):
             flags = K.second_phase_rows(y, x, z, sets).flags
-            assert flags[0] == K.FLAG_DEGENERATE
-            assert flags[1] != K.FLAG_DEGENERATE
+            assert flags[0] == SKIP_DEGENERATE
+            assert flags[1] != SKIP_DEGENERATE
 
     def test_two_point_second_phase_flags_singular_only(self):
         frame_y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 9.0])
@@ -264,7 +264,7 @@ class TestStatsRows:
         )
         # Plug-in constants are unusable at n=2 (the x moment table is
         # two-point degenerate) but the plain statistics stay valid.
-        assert stats.flags[0, 0] == K.FLAG_SINGULAR
+        assert stats.flags[0, 0] == SKIP_PLUGIN
         assert np.all(np.isfinite(_entry(stats, 0, CORE)))
         assert np.isnan(stats.alpha[0, 0])
 
@@ -487,10 +487,10 @@ class TestSingleValued:
         # and through both phase kernels, whose other flag is a
         # nonpositive sum of squares
         first = K.first_phase_rows(rows.reshape(-1), spread, index)
-        degenerate = first.flags == K.FLAG_DEGENERATE
+        degenerate = first.flags == SKIP_DEGENERATE
         assert np.array_equal(degenerate, want | (first.s2_x <= 0.0))
         second = K.second_phase_rows(spread, rows.reshape(-1), spread, index)
-        degenerate = second.flags == K.FLAG_DEGENERATE
+        degenerate = second.flags == SKIP_DEGENERATE
         assert np.array_equal(degenerate, want | (sums[2, 0, 0] <= 0.0))
 
 

@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import corr2phase as c2p
 from corr2phase import _kernels, montecarlo
 from corr2phase.errors import (
+    SKIP_DEGENERATE,
+    SKIP_NONFINITE,
+    SKIP_PLUGIN,
+    SKIPS,
     AllSamplesDegenerate,
     Corr2PhaseError,
     DegenerateSample,
@@ -20,10 +24,13 @@ from corr2phase.errors import (
     InvalidDesign,
     InvalidParameter,
     NonFiniteEstimate,
+    NonPositiveRatio,
     SingularDenominator,
     TooManySamples,
+    ZeroCorrelation,
+    ZeroMean,
 )
-from corr2phase.estimators import ESTIMATOR_KINDS, SKIP_LABELS, evaluate_rows
+from corr2phase.estimators import ESTIMATOR_KINDS, evaluate_rows
 from corr2phase.montecarlo import (
     EnumerationResult,
     _aggregate,
@@ -219,16 +226,14 @@ class TestEnumerationMatchesPerPair:
 
     def test_tie_frame_raises_every_skip(self):
         flags = _pair_statistics(TIES, c2p.DesignSpec(8, 5, 3)).flags
-        assert set(np.unique(flags)) == {
-            0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
-        }
+        assert set(np.unique(flags)) == {0, SKIP_DEGENERATE, SKIP_NONFINITE, SKIP_PLUGIN}
         seen = set()
         for label in LABELS:
             result = c2p.enumerate_exact(
                 TIES, c2p.DesignSpec(8, 5, 3), label, max_skip_fraction=1.0
             )
             seen |= set(result.skip_reasons)
-        assert seen == set(SKIP_LABELS.values())
+        assert seen == {skip.label for skip in SKIPS.values()}
 
 
 def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets, aux):
@@ -245,7 +250,7 @@ def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets, aux):
     n = len(subsets[0])
     rows, flags = [], []
     for t, first in enumerate(first_sets):
-        f_flag = int(f.flags[t])
+        f_code = int(f.flags[t])
         for second in itertools.combinations(first, n):
             j = where[second]
             with np.errstate(all="ignore"):
@@ -261,12 +266,12 @@ def _pair_rows_per_pair(first_stats, second_stats, first_sets, subsets, aux):
             row = [float(s.r[j]), u, v, w, a] + [
                 float(s.alpha[j]), float(s.beta[j]), float(s.gamma[j]), float(s.delta[j])
             ]
-            if (f_flag | int(s.flags[j])) & _kernels.FLAG_DEGENERATE:
-                flag = _kernels.FLAG_DEGENERATE
+            if SKIP_DEGENERATE in (f_code, s.flags[j]):
+                flag = SKIP_DEGENERATE
             elif not all(map(math.isfinite, row[:5])):
-                flag = _kernels.FLAG_NONFINITE
-            elif s.flags[j] == _kernels.FLAG_SINGULAR:
-                flag = _kernels.FLAG_SINGULAR
+                flag = SKIP_NONFINITE
+            elif s.flags[j] == SKIP_PLUGIN:
+                flag = SKIP_PLUGIN
             else:
                 flag = 0
             rows.append(row)
@@ -292,9 +297,7 @@ class TestPairRows:
         want_rows, want_flags = _pair_rows_per_pair(
             first_stats, second_stats, first_sets, subsets, aux
         )
-        assert set(np.unique(stats.flags)) == {
-            0, _kernels.FLAG_DEGENERATE, _kernels.FLAG_NONFINITE, _kernels.FLAG_SINGULAR
-        }
+        assert set(np.unique(stats.flags)) == {0, SKIP_DEGENERATE, SKIP_NONFINITE, SKIP_PLUGIN}
         b, k = i2.shape
         assert {name: f.shape for name, f in stats._asdict().items()} == {
             name: (b, 1) if name in ("w", "a") else (b, k) for name in stats._fields
@@ -303,7 +306,7 @@ class TestPairRows:
         rows = np.column_stack([np.broadcast_to(f, (b, k)).reshape(-1) for f in stats[:-1]])
         # r, u, v, w, a where the pair is not degenerate or nonfinite, the
         # weights where it is not flagged at all
-        core = (want_flags & (_kernels.FLAG_DEGENERATE | _kernels.FLAG_NONFINITE)) == 0
+        core = (want_flags != SKIP_DEGENERATE) & (want_flags != SKIP_NONFINITE)
         plain = want_flags == 0
         for keep, cols in ((core, slice(0, 5)), (plain, slice(5, 9))):
             np.testing.assert_array_equal(
@@ -350,7 +353,7 @@ class TestSampleStatisticsMatchesKernel:
         for i in range(first.shape[0]):
             sample = c2p.TwoPhaseSample(design, first[i], second[i])
             flag = stats.flags[i, 0]
-            if flag == _kernels.FLAG_DEGENERATE:
+            if flag == SKIP_DEGENERATE:
                 with pytest.raises(DegenerateSample):
                     c2p.sample_statistics(frame, sample, aux)
                 continue
@@ -361,12 +364,68 @@ class TestSampleStatisticsMatchesKernel:
             one = c2p.sample_statistics(frame, sample, aux)
             got = (one.r, one.u, one.v, one.w, one.a)
             assert got == tuple(getattr(stats, name)[i, 0] for name in "ruvwa"), i
-            if flag == _kernels.FLAG_SINGULAR:
+            if flag == SKIP_PLUGIN:
                 continue
             assert flag == 0
             weights = c2p.estimated_optimum_constants(one).weights()
             kernel = (stats.alpha, stats.beta, stats.gamma, stats.delta)
             assert weights == tuple(w[i, 0] for w in kernel), i
+
+
+class TestSkipsMatchEstimateErrors:
+    """The joint table of simulate's skip reasons and estimate's errors.
+
+    Every kind is evaluated on a chunk of draws from a small frame; a
+    pair it keeps has the value that sample_statistics and estimate give
+    its sample, with ==, and a pair it skips makes that path raise the
+    error its reason names. The explicit example meets all five reasons.
+    """
+
+    RAISES = {
+        "nonfinite_value": NonFiniteEstimate,  # where the first-phase mean of x is not 0
+        "nonpositive_ratio": NonPositiveRatio,
+        "singular_denominator": SingularDenominator,
+        "singular_plugin_constants": (ZeroMean, ZeroCorrelation, SingularDenominator),
+    }
+
+    @given(
+        frame=_small_frames(),
+        sizes=st.tuples(st.integers(2, 10), st.integers(2, 10)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(frame=TIES, sizes=(5, 3), seed=2)
+    @settings(max_examples=20, deadline=None)
+    def test_every_kind(self, frame, sizes, seed):
+        n1 = min(max(sizes), frame.N)
+        n = min(min(sizes), n1)
+        design = c2p.DesignSpec(frame.N, n1, n)
+        aux = c2p.KnownAux.from_frame(frame)
+        first, second = _kernels.draw_rows(frame.N, n1, n, reps=100, seed=seed)
+        stats = _kernels.stats_rows(frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2)
+        xbar1 = _kernels.first_phase_rows(frame.x, frame.z, first).xbar
+
+        def statistics_or_error(i):
+            sample = c2p.TwoPhaseSample(design, first[i], second[i])
+            try:
+                return c2p.sample_statistics(frame, sample, aux)
+            except Corr2PhaseError as exc:
+                return type(exc)
+
+        samples = [statistics_or_error(i) for i in range(first.shape[0])]
+        for label in LABELS:
+            spec = c2p.parse_estimator(label)
+            values, codes = evaluate_rows(spec, stats)
+            for i, one in enumerate(samples):
+                reason = SKIPS[codes[i]].label if codes[i] else None
+                if reason == "degenerate_sample":
+                    assert one is DegenerateSample, (label, i)
+                elif reason == "nonfinite_value" and xbar1[i] == 0.0:
+                    assert one is SingularDenominator, (label, i)
+                elif reason is None:
+                    assert c2p.estimate(spec, one) == values[i], (label, i)
+                else:
+                    with pytest.raises(self.RAISES[reason]):
+                        c2p.estimate(spec, one)
 
 
 def _outcome_and_message(run, *args):
@@ -500,7 +559,7 @@ class TestSimulationChunks:
         want = outcomes(1)
         if budget == 1.0:
             seen = set().union(*(result.skip_reasons for result in want))
-            assert seen == set(SKIP_LABELS.values())
+            assert seen == {skip.label for skip in SKIPS.values()}
         for chunk in (1, 4):
             monkeypatch.setattr(_kernels, "chunk_rows", lambda width: chunk)
             for workers in (1, 2):

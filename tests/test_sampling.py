@@ -7,6 +7,7 @@ from scipy import stats as scipy_stats
 import corr2phase as c2p
 from corr2phase import _kernels
 from corr2phase.errors import (
+    SKIP_DEGENERATE,
     DegenerateSample,
     InvalidDesign,
     InvalidParameter,
@@ -252,7 +253,7 @@ class TestSampleStatistics:
         stats = _kernels.stats_rows(
             frame.y, frame.x, frame.z, first[None], second[None], aux.zbar, aux.sz2
         )
-        assert stats.flags[0, 0] == _kernels.FLAG_DEGENERATE
+        assert stats.flags[0, 0] == SKIP_DEGENERATE
         sample = c2p.TwoPhaseSample(c2p.DesignSpec(5, 5, 2), first, second)
         with pytest.raises(DegenerateSample, match="first-phase"):
             c2p.sample_statistics(frame, sample, aux)
