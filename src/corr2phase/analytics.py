@@ -123,7 +123,10 @@ def _optimum_from_table(
     span_z = _span_or_raise(kurt_z, skew_z, "z")
     slopes = scaled_slopes(d, c_x, c_z, rho)
     weights = optimum_weights(d, c_x, c_z, slopes, span_x, span_z)
-    return OptimumConstants(*(v / rho for v in slopes + weights))
+    constants = OptimumConstants(*(v / rho for v in slopes + weights))
+    if not all(map(math.isfinite, constants.weights())):
+        raise SingularDenominator("optimal adjustment weights are not finite")
+    return constants
 
 
 def optimum_constants(m: MomentSet) -> OptimumConstants:

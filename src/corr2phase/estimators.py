@@ -149,7 +149,7 @@ def estimated_optimum_constants(stats: SampleStatistics) -> analytics.OptimumCon
     every population quantity replaced by its second-phase estimate.
     Raises ZeroMean when a sample coefficient of variation is undefined,
     ZeroCorrelation when r is numerically zero, SingularDenominator when
-    a sample moment table is two-point degenerate.
+    a sample moment table is two-point degenerate or a weight is not finite.
     """
     if stats.c_x_hat is None:
         raise ZeroMean("sample mean of x is zero; plug-in constants undefined")

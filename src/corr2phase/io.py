@@ -430,13 +430,6 @@ def load_params_json(path: str | os.PathLike) -> dict:
     return doc
 
 
-def save_params_json(doc: Mapping[str, object], path: str | os.PathLike) -> None:
-    """Write a parameter document losslessly (full float precision)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _round_floats(obj):
     if isinstance(obj, bool):
         return obj

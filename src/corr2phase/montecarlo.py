@@ -2,33 +2,33 @@
 
 Replication t of a run is a pure function of (seed, t), so results are
 independent of chunking and of how many worker threads execute the
-chunks: every replication writes to its own slot and the final
-aggregation uses correctly rounded sums, whatever the order. simulate() with
-workers=1 and workers=8 therefore returns bit-identical results.
+chunks: every replication writes to its own slot and every tally is
+exact, whatever the order. simulate() with workers=1 and workers=8
+therefore returns bit-identical results.
 
 simulate() sizes its chunks by n1, because the draw and the statistics
 kernel need O(n1) scratch per replication; its cost per replication
 does not grow with the population size N. Each chunk is drawn, paired
-(the k = 1 case of _kernels.pair_rows) and evaluated in one go, so a run
-keeps only one value and one skip code per replication. Each thread of
-a run takes every threads-th chunk, and the kernels of all its chunks
-write into the one _kernels.Workspace it makes; nothing is kept from
-one call to the next.
+(the k = 1 case of _kernels.pair_rows), evaluated and added to its
+thread's tally in one go, so a run keeps only one value per replication,
+for the standard errors. Each thread of a run takes every threads-th
+chunk, and the kernels of all its chunks write into the one
+_kernels.Workspace it makes; nothing is kept from one call to the next.
 
 enumerate_exact() computes the statistics of each distinct phase once:
 C(N, n1) first-phase sets and C(N, n) second-phase sets. It then
 streams the C(N, n1) * C(n1, n) pairs in blocks of at most
 _kernels.PAIR_BLOCK pairs: the second-phase columns are taken by the
 ranks of each set's subsets, the first-phase columns broadcast over
-them, and each block is evaluated and added to exact totals before the
-next is formed. It holds the C(N, n)-row second-phase table, one chunk
+them, and each block is evaluated and added to the run's tally before
+the next is formed. It holds the C(N, n)-row second-phase table, one chunk
 of first-phase sets with their statistics (chunk_rows bounds it as it
 bounds the second-phase chunks), one slice of subset patterns and one
 block, whatever the number of pairs.
 
-Every total is exact: _exact_total sums float64 terms by error-free
-extraction into a Python int, and each run's totals are rounded once at
-the end.
+Both drivers tally with one step, _aggregate, and every total is exact:
+_exact_total sums float64 terms by error-free extraction into a Python
+int. _settle adds a run's tallies and rounds each total once.
 
 Skipped replications (degenerate resamples, singular plug-in constants,
 broken rational adjustments) are counted by reason. The run fails if
@@ -55,14 +55,13 @@ from .errors import (
     AllSamplesDegenerate,
     Corr2PhaseError,
     ExcessiveSkips,
-    InvalidDesign,
     InvalidParameter,
     NonFiniteEstimate,
     TooManySamples,
 )
 from .estimators import EstimatorSpec, evaluate_rows, parse_estimator
 from .moments import MomentSet, PopulationFrame, population_moments
-from .sampling import DesignSpec, KnownAux
+from .sampling import DesignSpec, KnownAux, _check_population
 
 
 @dataclass(frozen=True)
@@ -242,12 +241,12 @@ def _sum(terms: np.ndarray) -> float:
 _NO_TALLY = (np.zeros(max(SKIPS) + 1, np.int64), 0, 0)
 
 
-def _tally(tally, values: np.ndarray, codes: np.ndarray, rho: float):
-    """A running tally with one more block of evaluated values added.
+def _aggregate(tally, values: np.ndarray, codes: np.ndarray, rho: float):
+    """The one tally step: a running tally with one more block of evaluated values added.
 
     A tally holds the skip-code counts, and the exact totals of the kept
-    values and of their squared errors against rho. Tallies are exact,
-    so the way the values are cut into blocks does not change them.
+    values and of their squared errors against rho. Tallies are exact, so
+    the way the values are cut into blocks or threads does not change them.
     """
     counts, kept_total, err_total = tally
     keep = codes == SKIP_OK
@@ -267,12 +266,16 @@ def _tally(tally, values: np.ndarray, codes: np.ndarray, rho: float):
     )
 
 
-def _settle(tally, unit: str):
-    """Skip accounting, mean and MSE of a run from its tally, each total rounded once.
+def _settle(tallies, unit: str):
+    """Skip accounting, mean and MSE of a run from its tallies, each total rounded once.
 
     unit names what the run counts in its errors: "replications" or "pairs".
     """
-    counts, kept_total, err_total = tally
+    counts, kept_total, err_total = _NO_TALLY
+    for more, kept, err in tallies:
+        counts = counts + more
+        kept_total = _add_totals(kept_total, kept)
+        err_total = _add_totals(err_total, err)
     counts = counts.tolist()
     k = counts[SKIP_OK]
     total = sum(counts)
@@ -282,11 +285,6 @@ def _settle(tally, unit: str):
     mean = _round_total(kept_total, k, unit) / k
     mse = _round_total(err_total, k, unit) / k
     return k, total - k, reasons, mean, mse
-
-
-def _aggregate(values: np.ndarray, codes: np.ndarray, rho: float):
-    """_settle of the tally of one block: all the replications of a run at once."""
-    return _settle(_tally(_NO_TALLY, values, codes, rho), "replications")
 
 
 def _standard_errors(kept: np.ndarray, rho: float, mean: float, mse: float):
@@ -346,12 +344,11 @@ def simulate(
     population values of the frame. Results depend on (frame, design,
     estimator, reps, seed) only; workers change speed, never the
     draws or the result, and at most min(workers, chunks, CPUs) threads
-    run. The seed must lie in [0, 2**64). A reps count whose values and
-    skip codes do not fit in memory raises TooManySamples.
+    run. The seed must lie in [0, 2**64). A reps count whose values do
+    not fit in memory raises TooManySamples.
     """
     spec = _as_spec(estimator)
-    if design.N != frame.N:
-        raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
+    _check_population(design, frame)
     if reps < 1:
         raise InvalidParameter("reps must be at least 1")
     if workers < 1:
@@ -363,14 +360,14 @@ def simulate(
 
     try:
         values = np.empty(reps)
-        codes = np.empty(reps, np.uint8)
     except (ValueError, MemoryError):
         raise TooManySamples(f"{reps} replications do not fit in memory") from None
     chunk = _kernels.chunk_rows(_kernels.SCRATCH_PER_N1 * design.n1)
     spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
 
-    def fill(share: list[tuple[int, int]]) -> None:
+    def fill(share: list[tuple[int, int]]):
         work = _kernels.Workspace()
+        tally = _NO_TALLY
         for lo, hi in share:
             first, second = _kernels.draw_rows(
                 design.N, design.n1, design.n, hi - lo, seed, rep_lo=lo, work=work
@@ -378,19 +375,22 @@ def simulate(
             stats = _kernels.stats_rows(
                 frame.y, frame.x, frame.z, first, second, aux.zbar, aux.sz2, work=work
             )
-            values[lo:hi], codes[lo:hi] = evaluate_rows(spec, stats)
+            values[lo:hi], codes = evaluate_rows(spec, stats)
+            tally = _aggregate(tally, values[lo:hi], codes, m.rho_yx)
+        return tally
 
     # more threads than spans or cores would only cost; each thread
     # fills every threads-th span with one workspace
     threads = min(workers, len(spans), os.cpu_count() or 1)
     if threads == 1:
-        fill(spans)
+        tallies = [fill(spans)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, (spans[i::threads] for i in range(threads))))
+            tallies = list(pool.map(fill, (spans[i::threads] for i in range(threads))))
 
-    k, skipped, reasons, mean, mse = _aggregate(values, codes, m.rho_yx)
-    se_mean, se_mse = _standard_errors(values[codes == SKIP_OK], m.rho_yx, mean, mse)
+    k, skipped, reasons, mean, mse = _settle(tallies, "replications")
+    # evaluate_rows leaves NaN exactly where a replication is skipped
+    se_mean, se_mse = _standard_errors(values[~np.isnan(values)], m.rho_yx, mean, mse)
     _check_skip_budget(skipped, reps, reasons, max_skip_fraction, "replications")
     return SimulationResult(
         design=design,
@@ -459,8 +459,7 @@ def enumerate_exact(
     not fit in memory, raises TooManySamples.
     """
     spec = _as_spec(estimator)
-    if design.N != frame.N:
-        raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
+    _check_population(design, frame)
     _check_skip_fraction(max_skip_fraction)
     k1 = math.comb(design.N, design.n1)
     k2 = math.comb(design.n1, design.n)
@@ -521,9 +520,9 @@ def enumerate_exact(
                     aux.sz2,
                 )
                 values, codes = evaluate_rows(spec, stats)
-                tally = _tally(tally, values, codes, m.rho_yx)
+                tally = _aggregate(tally, values, codes, m.rho_yx)
 
-    k, skipped, reasons, mean, mse = _settle(tally, "pairs")
+    k, skipped, reasons, mean, mse = _settle([tally], "pairs")
     _check_skip_budget(skipped, total, reasons, max_skip_fraction, "pairs")
     return EnumerationResult(
         design=design,

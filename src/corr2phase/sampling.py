@@ -145,6 +145,12 @@ class SampleStatistics:
     aux: KnownAux
 
 
+def _check_population(design: DesignSpec, frame: PopulationFrame) -> None:
+    """InvalidDesign unless the design's N is the population's size."""
+    if design.N != frame.N:
+        raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
+
+
 def draw_two_phase(
     frame: PopulationFrame,
     design: DesignSpec,
@@ -156,8 +162,7 @@ def draw_two_phase(
     Matches exactly the draws a simulation run with the same seed would
     produce at the same replication index, which lies in [0, 2**64 - 1).
     """
-    if design.N != frame.N:
-        raise InvalidDesign(f"design N={design.N} but population has {frame.N} units")
+    _check_population(design, frame)
     if not 0 <= int(rep) < (1 << 64) - 1:
         raise InvalidParameter(f"rep must lie in [0, 2**64 - 1), got {int(rep)}")
     first, second = _kernels.draw_rows(
@@ -196,8 +201,7 @@ def sample_statistics(
     the edge of float64 fails with InvalidParameter naming the first
     variance or d_pqm that is not finite, as population_moments does.
     """
-    if sample.design.N != frame.N:
-        raise InvalidDesign("sample and population disagree on N")
+    _check_population(sample.design, frame)
     n1, n = sample.design.n1, sample.design.n
 
     first = _kernels.first_phase_rows(frame.x, frame.z, sample.first_phase[None])

@@ -455,11 +455,6 @@ class TestParamsJson:
         assert published_params["N"] == 80
         assert published_params["rho_yx"] == 0.9136
 
-    def test_round_trip(self, tmp_path, published_params):
-        path = tmp_path / "params.json"
-        io.save_params_json(published_params, path)
-        assert io.load_params_json(path) == published_params
-
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "n": 10,\n  oops\n}\n')

@@ -32,9 +32,11 @@ from corr2phase.errors import (
 )
 from corr2phase.estimators import ESTIMATOR_KINDS, evaluate_rows
 from corr2phase.montecarlo import (
+    _NO_TALLY,
     EnumerationResult,
     _aggregate,
     _check_skip_budget,
+    _settle,
     _standard_errors,
     _sum,
     analytic_variance_for,
@@ -134,6 +136,16 @@ TIES = c2p.PopulationFrame(
     z=np.array([2.0, 1, 1, 1, 1, 3, 2, 2]),
 )
 
+# The second phase {0, 1, 2} of a (6, 6, 3) draw has a sample mean of z
+# (or of x) of 2e-309 / 3, nonzero but so small that the plug-in
+# weights are not finite.
+TINY_MEAN_Z = c2p.PopulationFrame(
+    y=np.array([1.0, 2, 4, 3, 5, 7]),
+    x=np.array([2.0, 3, 1, 4, 6, 5]),
+    z=np.array([1.0, -1, 2e-309, 3, 2, 5]),
+)
+TINY_MEAN_X = c2p.PopulationFrame(y=TINY_MEAN_Z.y, x=TINY_MEAN_Z.z, z=TINY_MEAN_Z.x)
+
 DIFFERENTIAL_DESIGNS = [
     ("six", c2p.DesignSpec(6, 4, 3)),
     ("random", c2p.DesignSpec(9, 7, 2)),
@@ -181,7 +193,8 @@ def _enumerate_per_pair(frame, design, estimator, max_skip_fraction):
     spec = c2p.parse_estimator(estimator)
     rho = c2p.population_moments(frame).rho_yx
     values, codes = evaluate_rows(spec, _pair_statistics(frame, design))
-    k, skipped, reasons, mean, mse = _aggregate(values, codes, rho)
+    tally = _aggregate(_NO_TALLY, values, codes, rho)
+    k, skipped, reasons, mean, mse = _settle([tally], "pairs")
     _check_skip_budget(skipped, values.shape[0], reasons, max_skip_fraction, "pairs")
     return EnumerationResult(
         design=design,
@@ -378,7 +391,8 @@ class TestSkipsMatchEstimateErrors:
     Every kind is evaluated on a chunk of draws from a small frame; a
     pair it keeps has the value that sample_statistics and estimate give
     its sample, with ==, and a pair it skips makes that path raise the
-    error its reason names. The explicit example meets all five reasons.
+    error its reason names. The TIES example meets all five reasons; the
+    two tiny-mean examples have plug-in weights that are not finite.
     """
 
     RAISES = {
@@ -394,6 +408,8 @@ class TestSkipsMatchEstimateErrors:
         seed=st.integers(0, 2**64 - 1),
     )
     @example(frame=TIES, sizes=(5, 3), seed=2)
+    @example(frame=TINY_MEAN_Z, sizes=(6, 3), seed=5)
+    @example(frame=TINY_MEAN_X, sizes=(6, 3), seed=5)
     @settings(max_examples=20, deadline=None)
     def test_every_kind(self, frame, sizes, seed):
         n1 = min(max(sizes), frame.N)
@@ -752,7 +768,8 @@ class TestSimulation:
     def test_overflowing_square_is_typed(self):
         # the mean is finite, but the squared error of 1e200 is not
         with pytest.raises(NonFiniteEstimate):
-            _aggregate(np.array([1e200, 1.0]), np.zeros(2, np.uint8), 0.5)
+            _settle([_aggregate(_NO_TALLY, np.array([1e200, 1.0]), np.zeros(2, np.uint8), 0.5)],
+                    "replications")
 
     def test_standard_errors_do_not_cancel(self):
         # 20k values that spread by 1e-6 around 0.95: a one-pass
@@ -760,7 +777,8 @@ class TestSimulation:
         rng = np.random.Generator(np.random.PCG64(12))
         kept = 0.95 + 1e-6 * rng.standard_normal(20_000)
         rho = 0.9
-        k, _, _, mean, mse = _aggregate(kept, np.zeros(kept.size, np.uint8), rho)
+        tally = _aggregate(_NO_TALLY, kept, np.zeros(kept.size, np.uint8), rho)
+        k, _, _, mean, mse = _settle([tally], "replications")
         se_mean, se_mse = _standard_errors(kept, rho, mean, mse)
 
         def exact_se(values):
@@ -958,7 +976,8 @@ class TestExactSum:
 
     def test_skip_reasons_keep_label_order(self):
         codes = np.array([5, 3, 0, 1, 3, 2, 0, 4, 5], np.uint8)
-        k, skipped, reasons, mean, mse = _aggregate(np.arange(9.0), codes, 0.5)
+        tally = _aggregate(_NO_TALLY, np.arange(9.0), codes, 0.5)
+        k, skipped, reasons, mean, mse = _settle([tally], "replications")
         assert (k, skipped) == (2, 7)
         assert list(reasons.items()) == [
             ("degenerate_sample", 1),

@@ -299,6 +299,22 @@ class TestSampleStatistics:
             c2p.sample_statistics(six_frame, sample, c2p.KnownAux(zbar=1.0, sz2=1.0))
 
 
+class TestPopulationMismatch:
+    def test_every_entry_point_gives_one_message(self, six_frame):
+        design = c2p.DesignSpec(N=7, n1=4, n=3)
+        sample = c2p.TwoPhaseSample(design, np.array([0, 1, 2, 3]), np.array([0, 1, 2]))
+        aux = c2p.KnownAux.from_frame(six_frame)
+        runs = [
+            lambda: c2p.draw_two_phase(six_frame, design, 1),
+            lambda: c2p.sample_statistics(six_frame, sample, aux),
+            lambda: c2p.simulate(six_frame, design, "sample-r", reps=5, seed=1),
+            lambda: c2p.enumerate_exact(six_frame, design, "sample-r"),
+        ]
+        for run in runs:
+            with pytest.raises(InvalidDesign, match=r"^design N=7 but population has 6 units$"):
+                run()
+
+
 class TestKnownAux:
     def test_from_frame_matches_numpy(self, six_frame):
         aux = c2p.KnownAux.from_frame(six_frame)

@@ -1,12 +1,20 @@
 """Alternating parent/change benchmark pairs, written to one BENCH_*.json file.
 
-Run from the repository root, with a checkout of the parent commit beside it:
+Commit the change first. Then run the tool from the root of a fresh clone
+of that commit, with a fresh clone of the parent commit beside it, so that
+both sides are new directories, as in the benchmark's own runs (a checkout
+that has served many earlier runs has read a different peak_rss_mb than a
+fresh clone of the same commit):
 
-    git clone -q . ../parent && git -C ../parent checkout -q <parent-commit>
-    python3 tools/bench_pairs.py --parent ../parent --out BENCH_<tag>.json \\
-        --change-text "what the change does" --claim enum-exact:items_per_s \\
-        --pairs enum-exact=10 --pairs theory-csv=3 --seed 9001 \\
-        --trace enum-exact:9001
+    git clone -q <repo> change && git clone -q <repo> parent
+    git -C parent checkout -q <parent-commit>
+    cd change && python3 tools/bench_pairs.py --parent ../parent \\
+        --out BENCH_<tag>.json --change-text "what the change does" \\
+        --pairs sim-bigframe=10 --pairs enum-exact=10 --pairs theory-csv=10 \\
+        --seed 9001 --trace enum-exact:9001
+
+and copy BENCH_<tag>.json back into the repository. Add
+--claim WORKLOAD:METRIC only for a gain the change claims.
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`,
 with T the benchmark's run_seconds from BENCHMARK.json, once in the parent
