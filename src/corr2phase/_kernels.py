@@ -39,11 +39,14 @@ chunk loop allocates no such array after the first chunk; every other
 caller passes none, and each call then makes its own.
 
 The variance slopes (scaled_slopes, times r so that they stay finite
-at r = 0) and the solve of each axis's 2x2 system for the optimum
-weights (optimum_weights) live here too, in plain arithmetic, so that
-the per-sample kernel and the scalar paths in analytics run the same
-code. analytics evaluates the class variance at those weights for the
-minimized variance.
+at r = 0) and the plug-in rule live here too, in plain arithmetic that
+takes scalars or arrays. optimum_weights solves each axis's 2x2 system
+for the optimum weights and returns the masks of where they cannot be
+used: r near zero, a two-point table, a weight that is not finite.
+second_phase_rows turns the masks into SKIP_PLUGIN and analytics into
+typed errors, so the per-sample kernel and the theory share both the
+weights and the rule. analytics evaluates the class variance at those
+weights for the minimized variance.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ PAIR_BLOCK = 12_000
 
 # Relative tolerance for declaring an optimum-constant denominator
 # singular, and absolute tolerance below which a correlation is treated
-# as zero. The scalar path in analytics uses the same values.
+# as zero. optimum_weights applies both, for the kernel and analytics.
 SINGULAR_RTOL = 1e-9
 ZERO_R_TOL = 1e-9
 
@@ -190,17 +193,6 @@ def mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def spread(kurt, skew):
-    """Excess spread kurt - skew^2 - 1 of one axis, and whether it is singular.
-
-    The spread is the determinant scale of that axis's 2x2 weight
-    system; it is positive for every nondegenerate distribution and zero
-    exactly for a two-point one. Takes floats or arrays.
-    """
-    span = kurt - skew * skew - 1.0
-    return span, span <= SINGULAR_RTOL * (abs(kurt) + skew * skew + 1.0)
-
-
 def scaled_slopes(d, c_x, c_z, r):
     """The four variance slopes times r, so finite at r = 0.
 
@@ -218,25 +210,41 @@ def scaled_slopes(d, c_x, c_z, r):
     )
 
 
-def _axis_weights(slope_mean, slope_var, c, skew, kurt, span):
-    """Minimizer of one axis's quadratic: its 2x2 system solved in closed form."""
+def _axis_weights(slope_mean, slope_var, c, skew, kurt):
+    """One axis's optimum weights, and whether its 2x2 system is singular.
+
+    The system is solved in closed form. Its determinant scale, the
+    excess spread kurt - skew^2 - 1, is positive for every nondegenerate
+    distribution and zero exactly for a two-point one.
+    """
+    span = kurt - skew * skew - 1.0
     return (
         (slope_var * c * skew - slope_mean * (kurt - 1.0)) / (2.0 * c * c * span),
         (slope_mean * skew - slope_var * c) / (2.0 * c * span),
-    )
+    ), span <= SINGULAR_RTOL * (abs(kurt) + skew * skew + 1.0)
 
 
-def optimum_weights(d, c_x, c_z, slopes, span_x, span_z):
-    """The optimum adjustment weights times r, from scaled_slopes.
+def optimum_weights(d, c_x, c_z, r):
+    """The plug-in rule: the optimum constants, and where they are unusable.
 
-    d, c_x and c_z are as in scaled_slopes, slopes is its result, and
-    span_x and span_z come from spread(); dividing by r gives the
-    weights, ordered as the slopes. Guarding r, c_x, c_z and the spans
-    against zero is the caller's job.
+    d, c_x, c_z and r are as in scaled_slopes, as float64 scalars or
+    arrays. Returns (slopes, weights, zero_r, two_point_x, two_point_z,
+    nonfinite): the slopes and the optimum weights divided by r, ordered
+    as in scaled_slopes, and four masks, True where |r| < ZERO_R_TOL,
+    where the x or the z table is two-point, and where a weight is not
+    finite. Zeros, overflows and NaNs raise nothing and end in the masks:
+    a zero mean makes its c infinite or NaN, and so its axis's weights
+    NaN.
     """
-    s1, s2, s3, s4 = slopes
-    x = _axis_weights(s1, s2, c_x, d(0, 3, 0), d(0, 4, 0), span_x)
-    return x + _axis_weights(s3, s4, c_z, d(0, 0, 3), d(0, 0, 4), span_z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        skew_x, kurt_x, skew_z, kurt_z = d(0, 3, 0), d(0, 4, 0), d(0, 0, 3), d(0, 0, 4)
+        s1, s2, s3, s4 = slopes = scaled_slopes(d, c_x, c_z, r)
+        x, two_point_x = _axis_weights(s1, s2, c_x, skew_x, kurt_x)
+        z, two_point_z = _axis_weights(s3, s4, c_z, skew_z, kurt_z)
+        weights = tuple(e / r for e in x + z)
+        nonfinite = ~reduce(np.logical_and, map(np.isfinite, weights))
+        slopes = tuple(s / r for s in slopes)
+        return slopes, weights, abs(r) < ZERO_R_TOL, two_point_x, two_point_z, nonfinite
 
 
 def _swap_targets(stream, first_step, span, out, tmp) -> None:
@@ -586,21 +594,10 @@ def second_phase_rows(
         sx2 = m020 / (n - 1.0)
         sz2 = m002 / (n - 1.0)
         r = (sums[1, 1, 0] / (n - 1.0)) / np.sqrt(sy2 * sx2)
-        span_x, singular_x = spread(std[0, 4, 0], std[0, 3, 0])
-        span_z, singular_z = spread(std[0, 0, 4], std[0, 0, 3])
         c_x, c_z = np.sqrt(sx2) / xbar, np.sqrt(sz2) / zbar
-        slopes = scaled_slopes(d, c_x, c_z, r)
-        weights = tuple(e / r for e in optimum_weights(d, c_x, c_z, slopes, span_x, span_z))
-        singular = (
-            (xbar == 0.0)
-            | (zbar == 0.0)
-            | (np.abs(r) < ZERO_R_TOL)
-            | singular_x
-            | singular_z
-            | ~reduce(np.logical_and, map(np.isfinite, weights))
-        )
+    _, weights, *masks = optimum_weights(d, c_x, c_z, r)
     flags = np.zeros(second.shape[0], np.uint8)
-    flags[singular] = SKIP_PLUGIN
+    flags[reduce(np.logical_or, masks)] = SKIP_PLUGIN
     degenerate = (m200 <= 0.0) | (m020 <= 0.0) | (m002 <= 0.0)
     for column, mean, column_ss in zip(columns, means, ss):
         degenerate |= single_valued(column, second, mean, column_ss)

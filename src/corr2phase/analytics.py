@@ -12,9 +12,11 @@ sample correlation, a quadratic in the two x-adjustment coefficients
 scaled by (1/n - 1/n1), and a quadratic in the two z-adjustment
 coefficients scaled by 1/n1. Each quadratic is convex whenever the
 standardized-moment table is nondegenerate, so the optimal coefficients
-solve two independent 2x2 linear systems (_kernels.optimum_weights,
-from the slopes of _kernels.scaled_slopes). The minimized variance is
-the class variance at those optimum weights.
+solve two independent 2x2 linear systems. _kernels.optimum_weights
+solves them and says when the solution cannot be used, for the
+per-sample kernel and here alike; _optimum_from_table raises that rule
+as typed errors. The minimized variance is the class variance at those
+optimum weights.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ._kernels import ZERO_R_TOL, optimum_weights, scaled_slopes, spread
+import numpy as np
+
+from ._kernels import optimum_weights, scaled_slopes
 from .errors import (
     InvalidDesign,
     InvalidParameter,
@@ -87,17 +91,6 @@ def _check_sizes(m: MomentSet, n: int, n1: int) -> None:
         raise InvalidDesign(f"need n1 <= N, got n1={n1}, N={m.N}")
 
 
-def _span_or_raise(kurt: float, skew: float, axis: str) -> float:
-    """Excess spread kurt - skew^2 - 1 of one axis, guarded against singularity."""
-    span, singular = spread(kurt, skew)
-    if singular:
-        raise SingularDenominator(
-            f"moment table of {axis} is two-point degenerate: "
-            f"kurtosis {kurt:g} too close to skewness^2 + 1"
-        )
-    return span
-
-
 def _optimum_from_table(
     d: Callable[[int, int, int], float],
     c_x: float,
@@ -108,25 +101,31 @@ def _optimum_from_table(
 
     `d` returns standardized central moments; c_x, c_z, rho are the
     coefficients of variation and the correlation on the same footing.
-    It serves exact population tables and sample estimates alike, and
-    the per-sample kernel runs the same scaled_slopes and
-    optimum_weights, which keeps the plug-in estimators consistent with
-    the theory by construction.
+    It serves exact population tables and sample estimates alike. The
+    constants and the rule for when they are unusable come from
+    _kernels.optimum_weights, the function that the per-sample kernel
+    runs, so the plug-in estimators agree with the theory by
+    construction; each of its masks becomes a typed error, zero
+    correlation first, then a two-point x table, a two-point z table and
+    a non-finite weight. The inputs go in as float64 scalars, so a zero
+    or an overflow ends in a mask, not in a ZeroDivisionError.
     """
-    if abs(rho) < ZERO_R_TOL:
+    slopes, weights, zero_r, two_point_x, two_point_z, nonfinite = optimum_weights(
+        d, np.float64(c_x), np.float64(c_z), np.float64(rho)
+    )
+    if zero_r:
         raise ZeroCorrelation(
             "optimal adjustment weights are undefined at zero correlation"
         )
-    skew_x, kurt_x = d(0, 3, 0), d(0, 4, 0)
-    skew_z, kurt_z = d(0, 0, 3), d(0, 0, 4)
-    span_x = _span_or_raise(kurt_x, skew_x, "x")
-    span_z = _span_or_raise(kurt_z, skew_z, "z")
-    slopes = scaled_slopes(d, c_x, c_z, rho)
-    weights = optimum_weights(d, c_x, c_z, slopes, span_x, span_z)
-    constants = OptimumConstants(*(v / rho for v in slopes + weights))
-    if not all(map(math.isfinite, constants.weights())):
+    for axis, two_point, kurt in (("x", two_point_x, (0, 4, 0)), ("z", two_point_z, (0, 0, 4))):
+        if two_point:
+            raise SingularDenominator(
+                f"moment table of {axis} is two-point degenerate: "
+                f"kurtosis {d(*kurt):g} too close to skewness^2 + 1"
+            )
+    if nonfinite:
         raise SingularDenominator("optimal adjustment weights are not finite")
-    return constants
+    return OptimumConstants(*map(float, slopes + weights))
 
 
 def optimum_constants(m: MomentSet) -> OptimumConstants:

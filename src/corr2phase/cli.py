@@ -218,10 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Corr2PhaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Corr2PhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corr2phase as c2p
+from corr2phase import _kernels, analytics
+from corr2phase._kernels import SINGULAR_RTOL, WEIGHT_TRIPLES, ZERO_R_TOL
 from corr2phase.errors import (
+    Corr2PhaseError,
     InvalidDesign,
     InvalidParameter,
+    MissingParameter,
     SingularDenominator,
     ZeroCorrelation,
 )
@@ -215,6 +220,89 @@ class TestGuards:
             c2p.optimum_constants(m)
         with pytest.raises(ZeroCorrelation):
             c2p.min_var_td(m, 10, 25)
+
+    def test_missing_moment_is_named_before_zero_correlation(self):
+        # the plug-in rule reads the whole table before its masks are read
+        m = c2p.normal_theory_moments(0.0)
+        m = dataclasses.replace(m, delta={t: v for t, v in m.delta.items() if t != (1, 2, 0)})
+        with pytest.raises(MissingParameter, match="d_120"):
+            c2p.optimum_constants(m)
+
+
+def _kurtosis_at(skew, t):
+    """Kurtosis whose excess spread is t times the two-point threshold.
+
+    The spread kurt - (skew^2 + 1) equals t * SINGULAR_RTOL * (|kurt| +
+    skew^2 + 1) in exact arithmetic, so t < 1 is two-point and t > 1 is not.
+    """
+    base = skew * skew + 1.0
+    return base * (1.0 + t * SINGULAR_RTOL) / (1.0 - t * SINGULAR_RTOL)
+
+
+_NEAR_ONE = st.one_of(st.floats(0.9, 0.999), st.floats(1.001, 1.1), st.floats(0.999, 1.001))
+_R_EDGES = [0.0, -0.0] + [
+    s * v
+    for s in (1.0, -1.0)
+    for v in (ZERO_R_TOL, np.nextafter(ZERO_R_TOL, 0.0), np.nextafter(ZERO_R_TOL, 1.0))
+]
+_C_EDGES = [5e-324, 1e-300, 1e-170, 1e-150, 1e150, 1e160, 1e300, 1.7e308]
+
+
+@st.composite
+def _moment_row(draw):
+    """One moment table with its c_x, c_z and r, at the plug-in rule's edges."""
+    row = {t: draw(st.floats(-5.0, 5.0)) for t in WEIGHT_TRIPLES}
+    shape = {}
+    for skew_t, kurt_t in (((0, 3, 0), (0, 4, 0)), ((0, 0, 3), (0, 0, 4))):
+        t = draw(st.one_of(_NEAR_ONE, st.floats(0.0, 1e6)))
+        row[kurt_t] = _kurtosis_at(row[skew_t], t)
+        shape[kurt_t] = t
+    c_x, c_z = (
+        draw(st.sampled_from([-1.0, 1.0]))
+        * draw(st.one_of(st.sampled_from(_C_EDGES), st.floats(0.05, 5.0)))
+        for _ in "xz"
+    )
+    r = draw(st.one_of(st.sampled_from(_R_EDGES), st.floats(-1.0, 1.0)))
+    return row, c_x, c_z, r, shape
+
+
+class TestPluginRule:
+    """_kernels.optimum_weights is the one plug-in rule: the kernel reads
+    its masks, analytics._optimum_from_table raises from them."""
+
+    ERRORS = (
+        (ZeroCorrelation, "zero correlation"),
+        (SingularDenominator, "moment table of x is two-point"),
+        (SingularDenominator, "moment table of z is two-point"),
+        (SingularDenominator, "weights are not finite"),
+    )
+
+    @given(rows=st.lists(_moment_row(), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_array_and_scalar_routes_agree(self, rows):
+        table = {t: np.array([row[t] for row, *_ in rows]) for t in WEIGHT_TRIPLES}
+        c_x, c_z, r = (np.array(column) for column in list(zip(*rows))[1:4])
+        slopes, weights, *masks = _kernels.optimum_weights(
+            lambda p, q, m: table[p, q, m], c_x, c_z, r
+        )
+        masks, constants = np.array(masks), np.array(slopes + weights)
+        for i, (row, *_, shape) in enumerate(rows):
+            # the spans sit 1e-3 of the threshold or farther from it
+            for t, two_point in ((shape[0, 4, 0], masks[1, i]), (shape[0, 0, 4], masks[2, i])):
+                if not 0.999 < t < 1.001:
+                    assert two_point == (t < 1.0), (i, t)
+            try:
+                got = analytics._optimum_from_table(
+                    lambda p, q, m: row[p, q, m], c_x[i], c_z[i], r[i]
+                )
+            except Corr2PhaseError as exc:
+                assert masks[:, i].any(), i
+                error, message = self.ERRORS[int(np.argmax(masks[:, i]))]
+                assert type(exc) is error and message in str(exc), (i, exc)
+            else:
+                assert not masks[:, i].any(), i
+                got = np.array(dataclasses.astuple(got))
+                np.testing.assert_array_equal(got.view(np.int64), constants[:, i].view(np.int64))
 
 
 class TestEfficiency:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import gzip
 import json
 import math
@@ -709,7 +710,8 @@ class TestArgumentFuzz:
             min_size=1, max_size=3,
         ))
         doc = json.loads(json.dumps(published_params))
-        for key, value in edits:
+        for key, shared in edits:
+            value = copy.deepcopy(shared)  # a shared {} could come to hold itself
             head, _, sub = key.partition(".")
             if sub and isinstance(doc.get(head), dict):
                 doc[head][sub] = value
